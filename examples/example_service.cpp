@@ -1,7 +1,6 @@
 // The concurrent batch-rewriting service end to end: synthesize a mixed
 // scenario × engine batch, run it on a worker pool sharing one sharded
-// containment oracle, and read the aggregate ServiceStats — then the same
-// thing through the streaming Submit/TryWait/Wait ticket API.
+// containment oracle, and read the aggregate ServiceStats.
 //
 //   $ ./example_service
 //
@@ -69,41 +68,5 @@ int main() {
   std::printf("  oracle       %llu lookups, %.1f%% hits (%zu shards)\n",
               static_cast<unsigned long long>(s.oracle.lookups()),
               100.0 * s.oracle.hit_rate(), s.oracle_shards);
-
-  // 5. Streaming: submit one request, poll, then block for the result.
-  ServiceRequest one;
-  one.engine = "minicon";
-  one.request = batch.requests[0];
-  auto ticket = service.Submit(one);
-  if (!ticket.ok()) {
-    std::printf("submit failed: %s\n", ticket.status().ToString().c_str());
-    return 1;
-  }
-  auto polled = service.TryWait(ticket.value());
-  std::printf("\nstreaming: ticket %llu %s\n",
-              static_cast<unsigned long long>(ticket.value()),
-              polled.ok() && polled.value().has_value() ? "already done"
-                                                        : "in flight");
-  auto final = service.Wait(ticket.value());
-  if (final.ok() && !final.value().status.ok()) {
-    std::printf("streaming request failed: %s\n",
-                final.value().status.ToString().c_str());
-    return 1;
-  }
-  if (final.ok()) {
-    std::printf("streaming result: %zu rewritings in %.3f ms\n",
-                final.value().response.rewritings.size(),
-                final.value().latency_ms);
-  } else if (polled.ok() && polled.value().has_value()) {
-    // TryWait already collected it; a second Wait correctly finds nothing.
-    if (!polled.value()->status.ok()) {
-      std::printf("streaming request failed: %s\n",
-                  polled.value()->status.ToString().c_str());
-      return 1;
-    }
-    std::printf("streaming result: %zu rewritings in %.3f ms\n",
-                polled.value()->response.rewritings.size(),
-                polled.value()->latency_ms);
-  }
   return 0;
 }

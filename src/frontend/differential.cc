@@ -165,8 +165,8 @@ Result<ParsedAnswerPayload> ParseAnswerPayload(const std::string& payload) {
 MirrorChecker::MirrorChecker(SessionOptions options)
     : oracle_(/*max_entries=*/1 << 20, /*num_shards=*/1),
       session_([this, &options] {
-        // The differential point: inline execution against the server's
-        // service-backed sessions, one shard against its sharded oracle.
+        // The differential point: a private session against the server's
+        // pool-run sessions, one shard against its sharded oracle.
         options.service = nullptr;
         options.enable_load = false;
         options.engine.oracle = &oracle_;

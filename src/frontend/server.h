@@ -2,7 +2,7 @@
 /// The TCP line-protocol transport of the frontend: a FrontendServer
 /// multiplexes every client connection onto one epoll event loop
 /// (non-blocking sockets, per-connection read/write buffers) and executes
-/// each parsed command as a generic task on the shared RewriteService
+/// each parsed command as one task on the shared RewriteService
 /// worker pool (service/service.h) — so connection count is no longer
 /// bounded by thread count, and N clients share one pool while their
 /// problem state stays fully isolated per connection. All connections
@@ -96,14 +96,14 @@ struct ServerOptions {
   /// force-closing write-blocked connections (in-flight commands still
   /// always run to completion).
   int drain_timeout_ms = 2'000;
-  /// The backing RewriteService (worker pool). Commands execute as
-  /// generic tasks on it; its `oracle_shards`/`oracle_max_entries` also
-  /// size the server-lifetime shared oracle. `share_oracle` is forced off
-  /// (sharing happens through the session-level oracle wiring instead, so
-  /// 'rewrite' and 'answer' hit one cache).
+  /// The backing RewriteService (worker pool). Each command runs inline
+  /// as one task on it. With `share_cache`, the service's own oracle is
+  /// the server-lifetime shared oracle; its `oracle_shards` and
+  /// `oracle_max_entries` also size the per-connection oracles otherwise.
   ServiceOptions service;
-  /// Template for per-connection sessions; `service`, `dispatch_inline`,
-  /// `enable_load`, `engine.oracle`, and `plan_cache` are overwritten.
+  /// Template for per-connection sessions; `service` (the `show stats`
+  /// source), `enable_load`, `engine.oracle`, and `plan_cache` are
+  /// overwritten.
   SessionOptions session;
   /// True (default): all connections share one server-lifetime oracle and
   /// rewriting-plan cache. False: per-connection oracles, no plan cache —
@@ -146,8 +146,9 @@ class FrontendServer {
   const ServerOptions& options() const { return options_; }
   RewriteService& service() { return *service_; }
   /// The server-lifetime caches every connection shares (when
-  /// `share_cache`; otherwise constructed but unused).
-  ContainmentOracle& oracle() { return *oracle_; }
+  /// `share_cache`; otherwise constructed but unused). The oracle is the
+  /// service's own.
+  ContainmentOracle& oracle() { return service_->oracle(); }
   RewritePlanCache& plan_cache() { return *plan_cache_; }
   uint64_t connections_accepted() const { return accepted_.load(); }
 
@@ -194,7 +195,6 @@ class FrontendServer {
 
   ServerOptions options_;
   std::unique_ptr<RewriteService> service_;
-  std::unique_ptr<ContainmentOracle> oracle_;
   std::unique_ptr<RewritePlanCache> plan_cache_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

@@ -1,46 +1,38 @@
 /// \file
-/// The concurrent batch service: a fixed pool of worker threads executing
-/// three kinds of jobs — RewriteRequests through the unified engine layer
-/// (rewriting/engine.h), AnswerRequests through the end-to-end answering
-/// pipeline (answering/answering.h), and opaque generic tasks
-/// (SubmitTask: the frontend server runs whole parsed commands as tasks,
-/// delivering results through its own completion queue) — all sharing one
-/// sharded thread-safe ContainmentOracle (containment/oracle.h). Per-request
-/// latency has a hard floor — the underlying problems are NP-complete
-/// (LMSS95 Thms 3.1/3.3) — so the service buys throughput, not latency:
-/// parallel execution across requests plus cross-request containment
-/// memoization.
+/// The concurrent batch service: a fixed pool of worker threads fed by one
+/// task queue, plus one sharded thread-safe ContainmentOracle
+/// (containment/oracle.h) shared by everything that runs on the pool.
+/// Per-request latency has a hard floor — the underlying problems are
+/// NP-complete (LMSS95 Thms 3.1/3.3) — so the service buys throughput, not
+/// latency: parallel execution across requests plus cross-request
+/// containment memoization.
 ///
-/// Entry points per job kind: the blocking batch APIs (RewriteBatch /
-/// AnswerBatch: submit a vector, block for all results plus aggregate
-/// ServiceStats) and the streaming Submit/Wait/TryWait resp.
-/// SubmitAnswer/WaitAnswer/TryWaitAnswer ticket APIs. Tickets come from
-/// one shared sequence, but collection is typed: a ticket must be
-/// collected through the API flavor that submitted it (waiting on the
-/// other flavor reports kNotFound once the job completes). Responses are
-/// deterministic: a request's payload never depends on worker count,
-/// shard count, or scheduling, because the oracle is a pure cache
-/// (tests/test_service.cc holds the service to that). The one
-/// non-deterministic surface is per-request RewriteStats::oracle deltas,
-/// which under concurrency include other workers' traffic — read
-/// aggregate oracle numbers from ServiceStats instead.
+/// SubmitTask is the one public way to put work on the pool: an opaque
+/// task that delivers its own result (the frontend server runs whole
+/// parsed commands as tasks, pushing completions to its event loop). The
+/// blocking batch helpers queue one task per item on the same pool:
+/// RewriteBatch runs RewriteRequests through the unified engine layer
+/// (rewriting/engine.h), AnswerBatch runs AnswerRequests through the
+/// end-to-end answering pipeline (answering/answering.h); both wire the
+/// shared oracle, count each item ok or failed by its status, block for
+/// every result, and return aggregate ServiceStats. Responses are deterministic:
+/// a request's payload never depends on worker count, shard count, or
+/// scheduling, because the oracle is a pure cache (tests/test_service.cc
+/// holds the service to that). The one non-deterministic surface is
+/// per-request RewriteStats::oracle deltas, which under concurrency
+/// include other workers' traffic — read aggregate oracle numbers from
+/// ServiceStats instead.
 
 #ifndef AQV_SERVICE_SERVICE_H_
 #define AQV_SERVICE_SERVICE_H_
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
-#include <variant>
 #include <vector>
 
 #include "answering/answering.h"
@@ -60,17 +52,11 @@ struct ServiceOptions {
   size_t oracle_shards = 8;
   /// Total entry budget of the shared oracle, split across shards.
   size_t oracle_max_entries = size_t{1} << 20;
-  /// When true (default), every request's EngineOptions::oracle is
-  /// overwritten with the service's shared oracle. When false, requests
-  /// run with whatever oracle (or none) the caller set — caller-provided
-  /// oracles are themselves sharded/thread-safe, so sharing one across
-  /// in-flight requests is allowed.
-  bool share_oracle = true;
 };
 
-/// One unit of service work: which engine, applied to which request. The
-/// request's `views` pointer (and the Catalog behind it) must stay alive
-/// until the response has been collected.
+/// One unit of RewriteBatch work: which engine, applied to which request.
+/// The request's `views` pointer (and the Catalog behind it) must stay
+/// alive until the batch returns.
 struct ServiceRequest {
   /// Engine registry name ("lmss", "bucket", "minicon", "ucq").
   std::string engine;
@@ -79,8 +65,6 @@ struct ServiceRequest {
 
 /// Outcome of one ServiceRequest.
 struct ServiceResponse {
-  /// The ticket Submit returned (batch positions for RewriteBatch).
-  uint64_t ticket = 0;
   /// Echo of ServiceRequest::engine.
   std::string engine;
   /// Engine-level failure (unknown engine, invalid request, budget
@@ -118,11 +102,9 @@ struct BatchResult {
   ServiceStats stats;
 };
 
-/// Outcome of one answering job (the second job kind; see
-/// answering/answering.h for the request/response semantics).
+/// Outcome of one AnswerBatch item (see answering/answering.h for the
+/// request/response semantics).
 struct AnswerServiceResponse {
-  /// The ticket SubmitAnswer returned (batch positions for AnswerBatch).
-  uint64_t ticket = 0;
   /// Pipeline-level failure (unknown engine/route, missing inputs, budget
   /// overrun). `response` is meaningful only when this is OK.
   Status status;
@@ -146,10 +128,8 @@ double NearestRankPercentile(const std::vector<double>& sorted, double q);
 /// \brief Fixed-pool concurrent rewriting service over the engine registry.
 ///
 /// Thread safety: all public members may be called from any thread.
-/// Shutdown: the destructor drains already-submitted work, then joins the
-/// workers — it never abandons an accepted ticket, so a Wait in another
-/// thread cannot be left hanging (but do collect outstanding tickets
-/// before destroying the service if you care about their results).
+/// Shutdown: the destructor runs every already-queued task, then joins the
+/// workers — accepted work is never abandoned.
 class RewriteService {
  public:
   explicit RewriteService(ServiceOptions options = {});
@@ -158,72 +138,40 @@ class RewriteService {
   RewriteService(const RewriteService&) = delete;
   RewriteService& operator=(const RewriteService&) = delete;
 
-  /// Executes `batch` across the pool; blocks until every response is in.
-  /// responses[i] corresponds to batch[i]. Engine-level failures are
-  /// per-response (`responses[i].status`); the call itself only fails if
-  /// the service is shutting down.
+  /// Executes `batch` across the pool with the shared oracle; blocks until
+  /// every response is in. responses[i] corresponds to batch[i].
+  /// Engine-level failures are per-response (`responses[i].status`); the
+  /// call itself only fails if the service is shutting down.
   [[nodiscard]] Result<BatchResult> RewriteBatch(const std::vector<ServiceRequest>& batch);
 
   /// Answering twin of RewriteBatch: runs every AnswerRequest through the
-  /// pipeline on the shared pool (rewriting and answering jobs interleave
-  /// freely on the same workers and oracle).
+  /// pipeline on the shared pool and oracle.
   [[nodiscard]] Result<AnswerBatchResult> AnswerBatch(const std::vector<AnswerRequest>& batch);
 
-  /// Streaming half: enqueue one request, get a ticket for Wait/TryWait.
-  /// Returns kFailedPrecondition-style Internal error if shutting down.
-  /// Every ticket must eventually be collected: an uncollected response is
-  /// retained (full RewriteResponse payload) until the service dies, so
-  /// fire-and-forget submission leaks memory for the service's lifetime.
-  [[nodiscard]] Result<uint64_t> Submit(ServiceRequest request);
-
-  /// Streaming submission of an answering job; collect the ticket with
-  /// WaitAnswer/TryWaitAnswer (the rewrite-side Wait reports kNotFound
-  /// for answering tickets).
-  [[nodiscard]] Result<uint64_t> SubmitAnswer(AnswerRequest request);
-
-  /// Fire-and-forget third job kind: runs `task` on a pool worker. There
-  /// is no collection API — the task delivers its own result (the epoll
-  /// frontend pushes completions to its event loop); Wait/WaitAnswer on a
-  /// task's ticket report kNotFound. Tasks count in lifetime_stats
-  /// (requests/ok) like any other job. The only failure is submission
-  /// during shutdown; accepted tasks always run (the destructor drains).
+  /// Runs `task` on a pool worker. There is no collection API — the task
+  /// delivers its own result. A task counts in lifetime_stats as one ok
+  /// request, and the count lands before its body runs, so anything the
+  /// body sequences after itself already sees it. The only failure is
+  /// submission during shutdown; accepted tasks always run.
   [[nodiscard]] Status SubmitTask(std::function<void()> task);
-
-  /// Blocks until the ticket's response is ready, then hands it over
-  /// (each ticket can be collected exactly once). kNotFound for tickets
-  /// never issued, already collected, or submitted as the other job kind.
-  [[nodiscard]] Result<ServiceResponse> Wait(uint64_t ticket);
-
-  /// Non-blocking poll: the response if ready (collecting it), nullopt if
-  /// still in flight. kNotFound as for Wait.
-  [[nodiscard]] Result<std::optional<ServiceResponse>> TryWait(uint64_t ticket);
-
-  /// Answering twins of Wait/TryWait.
-  [[nodiscard]] Result<AnswerServiceResponse> WaitAnswer(uint64_t ticket);
-  [[nodiscard]] Result<std::optional<AnswerServiceResponse>> TryWaitAnswer(uint64_t ticket);
 
   /// Totals since construction (percentiles zero; see ServiceStats).
   ServiceStats lifetime_stats() const;
 
-  /// The shared sharded oracle (always constructed; unused per-request
-  /// when options.share_oracle is false).
+  /// The shared sharded oracle the batch helpers wire into every request.
   ContainmentOracle& oracle() { return oracle_; }
   const ServiceOptions& options() const { return options_; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
  private:
-  struct Job {
-    uint64_t ticket = 0;
-    /// Exactly one payload per job; the alternative is the job kind.
-    std::variant<ServiceRequest, AnswerRequest, std::function<void()>> request;
-  };
+  /// Shared body of the batch helpers: one task per item, each running
+  /// `run` on its own copy of the item and filling responses[i], then a
+  /// latch until every accepted task finished. Defined in service.cc.
+  template <typename Out, typename Request, typename Run>
+  [[nodiscard]] Result<Out> RunBatch(const std::vector<Request>& batch, Run run);
 
-  void WorkerLoop();
-  ServiceResponse ExecuteRewrite(Job& job);
-  AnswerServiceResponse ExecuteAnswer(Job& job);
-  [[nodiscard]] Result<uint64_t> Enqueue(Job job);
-  /// Bumps the lifetime completion counters; called by workers before a
-  /// job's result is delivered (see WorkerLoop for why before).
+  /// Bumps the lifetime completion counters; always called before the
+  /// counted work's result is delivered.
   void Count(bool ok) {
     if (ok) {
       completed_ok_.fetch_add(1, std::memory_order_relaxed);
@@ -232,32 +180,10 @@ class RewriteService {
     }
   }
 
-  /// Shared implementation of Wait/WaitAnswer and TryWait/TryWaitAnswer:
-  /// the subtle wake-and-kNotFound predicate lives here once, per done
-  /// map. Defined in service.cc (only used there).
-  template <typename Response>
-  [[nodiscard]] Result<Response> WaitIn(std::unordered_map<uint64_t, Response>& done,
-                          uint64_t ticket, const char* flavor);
-  template <typename Response>
-  [[nodiscard]] Result<std::optional<Response>> TryWaitIn(
-      std::unordered_map<uint64_t, Response>& done, uint64_t ticket,
-      const char* flavor);
-
   ServiceOptions options_;
   ContainmentOracle oracle_;
-  MpmcQueue<Job> queue_;
+  MpmcQueue<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-
-  mutable std::mutex results_mu_;
-  std::condition_variable result_ready_;
-  /// Tickets issued but not yet collected; a ticket is in `pending_` from
-  /// Submit/SubmitAnswer until its response lands in the matching done
-  /// map (`done_` for rewrite jobs, `done_answers_` for answering jobs).
-  std::unordered_set<uint64_t> pending_;
-  std::unordered_map<uint64_t, ServiceResponse> done_;
-  std::unordered_map<uint64_t, AnswerServiceResponse> done_answers_;
-  uint64_t next_ticket_ = 1;
-  bool shutting_down_ = false;
 
   std::atomic<uint64_t> completed_ok_{0};
   std::atomic<uint64_t> completed_failed_{0};

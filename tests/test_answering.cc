@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "answering/answering.h"
@@ -326,7 +328,7 @@ TEST(Answering, RequestValidation) {
 }
 
 TEST(Answering, ServiceAnswerBatchMatchesSerialPipeline) {
-  // The service's answering job kind: identical payloads to serial
+  // The service's answering batches: identical payloads to serial
   // AnswerQuery calls, for the whole scenario × route × engine grid.
   AnswerScenarioBatch batch =
       MakeAnswerBatchFromScenarios(
@@ -362,56 +364,52 @@ TEST(Answering, ServiceAnswerBatchMatchesSerialPipeline) {
 }
 
 TEST(Answering, MixedJobKindsShareThePool) {
+  // A rewrite batch and an answering batch submitted concurrently from two
+  // threads interleave on one pool and oracle.
   Scenario s = MakeTravelScenario(13, 40).value();
   ServiceOptions options;
   options.num_workers = 2;
   RewriteService service(options);
+  constexpr size_t kCopies = 3;
 
   ServiceRequest rewrite;
   rewrite.engine = "minicon";
   rewrite.request.query.disjuncts.push_back(s.query);
   rewrite.request.views = &s.views;
-  uint64_t rewrite_ticket = service.Submit(rewrite).value();
-
   AnswerRequest answer = BaseRequest(s.query, s.views, s.base);
   answer.route = AnswerRoute::kInverseRules;
-  uint64_t answer_ticket = service.SubmitAnswer(answer).value();
 
-  auto answer_resp = service.WaitAnswer(answer_ticket);
-  ASSERT_TRUE(answer_resp.ok());
-  ASSERT_TRUE(answer_resp.value().status.ok());
-  auto rewrite_resp = service.Wait(rewrite_ticket);
-  ASSERT_TRUE(rewrite_resp.ok());
-  ASSERT_TRUE(rewrite_resp.value().status.ok());
+  std::optional<Result<BatchResult>> rewrites;
+  std::optional<Result<AnswerBatchResult>> answers;
+  std::thread rewriter([&] {
+    rewrites = service.RewriteBatch(
+        std::vector<ServiceRequest>(kCopies, rewrite));
+  });
+  std::thread answerer([&] {
+    answers = service.AnswerBatch(std::vector<AnswerRequest>(kCopies, answer));
+  });
+  rewriter.join();
+  answerer.join();
+  ASSERT_TRUE(rewrites->ok()) << rewrites->status().ToString();
+  ASSERT_TRUE(answers->ok()) << answers->status().ToString();
+  ASSERT_EQ(rewrites->value().stats.ok, kCopies);
+  ASSERT_EQ(answers->value().stats.ok, kCopies);
 
-  // The two jobs agree: evaluating the minicon union over extents equals
+  // The two kinds agree: evaluating the minicon union over extents equals
   // the inverse-rules certain answers.
   Database extents = MaterializeViews(s.views, s.base).value();
-  Relation via_union =
-      EvaluateRewritingUnion(s.query, rewrite_resp.value().response.rewritings,
-                             extents)
-          .value();
-  EXPECT_TRUE(Relation::SameSet(via_union,
-                                answer_resp.value().response.result));
+  for (size_t i = 0; i < kCopies; ++i) {
+    Relation via_union =
+        EvaluateRewritingUnion(s.query,
+                               rewrites->value().responses[i].response.rewritings,
+                               extents)
+            .value();
+    EXPECT_TRUE(Relation::SameSet(via_union,
+                                  answers->value().responses[i].response.result));
+  }
 
   // Lifetime stats count both kinds.
-  EXPECT_EQ(service.lifetime_stats().requests, 2u);
-}
-
-TEST(Answering, TypedTicketCollection) {
-  Scenario s = MakeTravelScenario(13, 30).value();
-  RewriteService service(ServiceOptions{});
-  AnswerRequest answer = BaseRequest(s.query, s.views, s.base);
-  answer.route = AnswerRoute::kDirect;
-  uint64_t ticket = service.SubmitAnswer(answer).value();
-  // Collecting an answering ticket through the rewrite-side API reports
-  // kNotFound (after completion) instead of hanging or mixing payloads.
-  auto wrong = service.Wait(ticket);
-  ASSERT_FALSE(wrong.ok());
-  EXPECT_EQ(wrong.status().code(), StatusCode::kNotFound);
-  auto right = service.WaitAnswer(ticket);
-  ASSERT_TRUE(right.ok());
-  EXPECT_TRUE(right.value().status.ok());
+  EXPECT_EQ(service.lifetime_stats().requests, 2 * kCopies);
 }
 
 }  // namespace

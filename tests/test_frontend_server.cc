@@ -138,7 +138,7 @@ TEST(FrontendServerTest, StatsAliasSurfacesServiceStats) {
       server.port(),
       {"query q(X) :- e(X).", "fact e(1).", "answer route direct", "STATS",
        "quit"});
-  // Every command executes as a counted generic task on the pool, and the
+  // Every command executes as a counted task on the pool, and the
   // service counts a task before its body delivers the result — so by the
   // time the STATS task renders the line, the three commands before it
   // (query/fact/answer) and STATS itself are all deterministically

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +19,9 @@ namespace {
 
 /// The concurrent service layer: determinism across worker counts, shard
 /// invariance of the sharded oracle, exact stats under a single thread,
-/// and a mixed-scenario stress run (the TSan target in CI).
+/// the SubmitTask contract (exactly-once, drain on destruction, count
+/// before delivery), and a mixed-scenario stress run (the TSan target in
+/// CI).
 
 /// Everything about a response that must be scheduling-independent — the
 /// payload, minus timing and minus per-request oracle deltas (which under
@@ -224,49 +227,6 @@ TEST(RewriteServiceTest, ShardedOracleStatsExactUnderSingleThread) {
   EXPECT_EQ(sharded.size(), 0u);
 }
 
-TEST(RewriteServiceTest, SubmitWaitStreaming) {
-  ScenarioRequestBatch batch = MixedBatch();
-  ServiceOptions options;
-  options.num_workers = 2;
-  RewriteService service(options);
-  std::vector<ServiceRequest> requests = ToServiceRequests(batch);
-
-  auto unknown = service.Wait(999999);
-  ASSERT_FALSE(unknown.ok());
-  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
-
-  std::vector<uint64_t> tickets;
-  for (const ServiceRequest& r : requests) {
-    auto ticket = service.Submit(r);
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(ticket.value());
-  }
-  // Poll the first ticket until done, collect the rest blocking.
-  std::optional<ServiceResponse> first;
-  while (!first.has_value()) {
-    auto polled = service.TryWait(tickets[0]);
-    ASSERT_TRUE(polled.ok());
-    first = std::move(polled).value();
-    if (!first.has_value()) std::this_thread::yield();
-  }
-  EXPECT_TRUE(first->status.ok()) << first->status.ToString();
-  for (size_t i = 1; i < tickets.size(); ++i) {
-    auto resp = service.Wait(tickets[i]);
-    ASSERT_TRUE(resp.ok());
-    EXPECT_TRUE(resp.value().status.ok()) << batch.labels[i];
-    EXPECT_EQ(resp.value().engine, batch.engines[i]);
-  }
-  // Each ticket is collectable exactly once.
-  auto again = service.Wait(tickets[0]);
-  ASSERT_FALSE(again.ok());
-  EXPECT_EQ(again.status().code(), StatusCode::kNotFound);
-
-  ServiceStats lifetime = service.lifetime_stats();
-  EXPECT_EQ(lifetime.requests, tickets.size());
-  EXPECT_EQ(lifetime.ok, tickets.size());
-  EXPECT_EQ(lifetime.failed, 0u);
-}
-
 TEST(RewriteServiceTest, PerResponseFailuresDoNotFailTheBatch) {
   // A CQ engine handed a 2-disjunct union fails that request only.
   ScenarioRequestBatch batch = MixedBatch();
@@ -288,6 +248,10 @@ TEST(RewriteServiceTest, PerResponseFailuresDoNotFailTheBatch) {
   const ServiceResponse& last = result.value().responses.back();
   ASSERT_FALSE(last.status.ok());
   EXPECT_EQ(last.status.code(), StatusCode::kInvalidArgument);
+  // The lifetime counters agree with the batch, failure included.
+  ServiceStats lifetime = service.lifetime_stats();
+  EXPECT_EQ(lifetime.failed, 1u);
+  EXPECT_EQ(lifetime.ok, requests.size() - 1);
 }
 
 TEST(ServiceStatsTest, NearestRankPercentileSmallSamples) {
@@ -351,7 +315,80 @@ TEST(RewriteServiceTest, StressMixedScenariosManyWorkers) {
 TEST(RewriteServiceTest, DefaultWorkerCountIsAtLeastOne) {
   RewriteService service;  // num_workers = 0 → hardware_concurrency
   EXPECT_GE(service.num_workers(), 1);
-  EXPECT_TRUE(service.options().share_oracle);
+}
+
+TEST(RewriteServiceTest, SubmitTaskRunsEveryTaskExactlyOnce) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 500;
+  constexpr int kTotal = kThreads * kPerThread;
+  std::vector<std::atomic<int>> runs(kTotal);
+  std::atomic<int> finished{0};
+  ServiceOptions options;
+  options.num_workers = 3;
+  RewriteService service(options);
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kThreads; ++t) {
+    producers.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        int id = t * kPerThread + i;
+        Status submitted = service.SubmitTask([&runs, &finished, id] {
+          runs[id].fetch_add(1);
+          finished.fetch_add(1);
+        });
+        EXPECT_TRUE(submitted.ok()) << submitted.ToString();
+      }
+    });
+  }
+  for (std::thread& p : producers) p.join();
+  while (finished.load() < kTotal) std::this_thread::yield();
+  for (int id = 0; id < kTotal; ++id) {
+    EXPECT_EQ(runs[id].load(), 1) << "task " << id;
+  }
+  ServiceStats lifetime = service.lifetime_stats();
+  EXPECT_EQ(lifetime.requests, static_cast<uint64_t>(kTotal));
+  EXPECT_EQ(lifetime.ok, static_cast<uint64_t>(kTotal));
+  EXPECT_EQ(lifetime.failed, 0u);
+}
+
+TEST(RewriteServiceTest, DestructorRunsQueuedTasksBeforeJoining) {
+  // One worker is held by a gate task until the destructor has closed the
+  // queue (its own probe submissions start failing). Everything queued
+  // behind the gate is still waiting at that point, and must all run.
+  constexpr int kQueued = 100;
+  std::atomic<int> ran{0};
+  bool saw_shutdown = false;
+  {
+    ServiceOptions options;
+    options.num_workers = 1;
+    RewriteService service(options);
+    ASSERT_TRUE(service.SubmitTask([&service, &saw_shutdown] {
+      while (service.SubmitTask([] {}).ok()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      saw_shutdown = true;
+    }).ok());
+    for (int i = 0; i < kQueued; ++i) {
+      ASSERT_TRUE(service.SubmitTask([&ran] { ran.fetch_add(1); }).ok());
+    }
+  }
+  EXPECT_TRUE(saw_shutdown);
+  EXPECT_EQ(ran.load(), kQueued);
+}
+
+TEST(RewriteServiceTest, TaskBodySeesItselfCounted) {
+  // The count lands before the body runs: a task that reads the lifetime
+  // stats (as the server's pipelined STATS does) already includes itself.
+  ServiceOptions options;
+  options.num_workers = 1;
+  RewriteService service(options);
+  for (uint64_t expected = 1; expected <= 3; ++expected) {
+    std::promise<uint64_t> seen;
+    std::future<uint64_t> requests = seen.get_future();
+    ASSERT_TRUE(service.SubmitTask([&service, &seen] {
+      seen.set_value(service.lifetime_stats().requests);
+    }).ok());
+    EXPECT_EQ(requests.get(), expected);
+  }
 }
 
 }  // namespace
