@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "frontend/differential.h"
 #include "frontend/replay.h"
 #include "frontend/session.h"
+#include "testing/differential.h"
 #include "workload/generator.h"
 
 namespace aqv {

@@ -141,8 +141,8 @@ constexpr uint64_t kConstTag = 0x517cc1b727220a95ULL;
 constexpr uint64_t kVarTag = 0x2545f4914f6cdd1dULL;
 
 // Symbol-key policies for the colour-refinement machinery and encoders.
-// LocalKeys feeds catalog-local dense ids (CanonicalKey / CanonicalForm /
-// Fingerprint — identities confined to one catalog); GlobalKeys feeds
+// LocalKeys feeds catalog-local dense ids (CanonicalForm / Fingerprint —
+// identities confined to one catalog); GlobalKeys feeds
 // process-global interned ids (the catalog-independent encodings shared
 // caches key on). Null-catalog queries fall back to local ids so the
 // default-constructed Query stays safe to hash.
@@ -194,8 +194,8 @@ void RefineColors(const Query& q, const Keys& keys,
   }
 }
 
-// Colour-refinement variable colours shared by CanonicalKey, CanonicalForm,
-// Fingerprint, and the catalog-independent encodings. Initial colours:
+// Colour-refinement variable colours shared by CanonicalForm, Fingerprint,
+// and the catalog-independent encodings. Initial colours:
 // distinguished variables keyed by head position so that head-permutations
 // are distinguished; existential variables uniform; comparison
 // participation feeds colours too.
@@ -220,40 +220,6 @@ std::vector<uint64_t> ComputeVarColors(const Query& q, const Keys& keys) {
 
 }  // namespace
 
-std::string Query::CanonicalKey() const {
-  std::vector<uint64_t> colors = ComputeVarColors(*this, LocalKeys{});
-
-  // Canonical atom strings ordered lexicographically.
-  auto term_key = [&](Term t) -> std::string {
-    if (t.is_const()) return "c" + std::to_string(t.constant());
-    return "v" + std::to_string(colors[t.var()]);
-  };
-  std::vector<std::string> atom_keys;
-  atom_keys.reserve(body_.size());
-  for (const Atom& a : body_) {
-    std::string k = "p" + std::to_string(a.pred);
-    for (Term t : a.args) k += "," + term_key(t);
-    atom_keys.push_back(std::move(k));
-  }
-  std::sort(atom_keys.begin(), atom_keys.end());
-  // Duplicate atoms collapse (set semantics for the key).
-  atom_keys.erase(std::unique(atom_keys.begin(), atom_keys.end()),
-                  atom_keys.end());
-
-  std::vector<std::string> cmp_keys;
-  for (const Comparison& c : comparisons_) {
-    cmp_keys.push_back(std::string(CmpOpName(c.op)) + term_key(c.lhs) + "|" +
-                       term_key(c.rhs));
-  }
-  std::sort(cmp_keys.begin(), cmp_keys.end());
-
-  std::string key = "H" + std::to_string(head_.pred);
-  for (Term t : head_.args) key += "," + term_key(t);
-  for (const auto& k : atom_keys) key += ";" + k;
-  for (const auto& k : cmp_keys) key += ";#" + k;
-  return key;
-}
-
 Query Query::CanonicalForm() const {
   std::vector<uint64_t> colors = ComputeVarColors(*this, LocalKeys{});
   auto term_key = [&](Term t) -> std::pair<uint64_t, uint64_t> {
@@ -262,7 +228,7 @@ Query Query::CanonicalForm() const {
   };
 
   // Body order: sort indices by (pred, arg keys); exact duplicates collapse
-  // later (set semantics, as in CanonicalKey). Ties between distinct atoms
+  // later (set semantics). Ties between distinct atoms
   // the colours cannot separate keep input order — deterministic, merely
   // not canonical across every isomorphism.
   std::vector<int> order(body_.size());

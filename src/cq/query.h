@@ -87,14 +87,6 @@ class Query {
   /// Renders the rule, e.g. "q(X) :- r(X, Y), Y < 3.".
   std::string ToString() const;
 
-  /// A renaming-invariant key: two isomorphic queries always map to the same
-  /// key; unequal keys imply non-isomorphic. (Collisions between
-  /// non-isomorphic queries are possible; callers must confirm with an
-  /// equivalence test before deduplicating.) Retained for diagnostics and
-  /// external tooling; production dedup uses Fingerprint()/CanonicalForm(),
-  /// which share this key's colour-refinement core.
-  std::string CanonicalKey() const;
-
   /// \brief A normalized structural copy: body atoms sorted by a
   /// color-refinement key, exact duplicate atoms dropped (set semantics),
   /// variables renumbered densely in order of first appearance across head,

@@ -76,7 +76,7 @@ struct SoakScript {
 /// \brief Renders `scenario` as a probed, churning session script: each
 /// phase (re)defines part of the problem and then interrogates it with
 /// `rewrite`/`answer` probes across engines and routes — the replayable
-/// unit of the differential soak harness (frontend/differential.h). The
+/// unit of the differential soak harness (testing/differential.h). The
 /// script is deterministic in (scenario, options) and never emits
 /// non-replayable commands (`load`, `show stats`, `STATS`).
 [[nodiscard]] Result<SoakScript> SoakScriptFromScenario(const Scenario& scenario,

@@ -32,25 +32,6 @@ int MsUntil(Clock::time_point deadline, Clock::time_point now) {
   return static_cast<int>(ms) + 1;  // +1: never wake before the deadline
 }
 
-std::string TrimView(const std::string& s) {
-  size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) return "";
-  size_t e = s.find_last_not_of(" \t\r\n");
-  return s.substr(b, e - b + 1);
-}
-
-/// First whitespace-delimited word of a trimmed command line.
-std::string FirstWord(const std::string& trimmed) {
-  size_t split = trimmed.find_first_of(" \t");
-  return split == std::string::npos ? trimmed : trimmed.substr(0, split);
-}
-
-bool IsMutatingCommand(const std::string& word) {
-  return word == "view" || word == "query" || word == "fact" ||
-         word == "reset" || word == "save" || word == "open" ||
-         word == "load";
-}
-
 }  // namespace
 
 /// Per-connection state, owned and touched exclusively by the event-loop
@@ -187,43 +168,23 @@ void FrontendServer::Stop() {
   // service joins its workers).
 }
 
-std::string FrontendServer::RespondTo(Session& session,
-                                      const std::string& line, bool* quit) {
-  // STATS: the wire-level alias surfacing the shared service, oracle, and
-  // plan-cache counters.
-  CommandResult result =
-      session.Execute(line == "STATS" ? "show stats" : line);
-  std::string response = result.output;
-  if (!response.empty()) response += '\n';
-  if (result.quit) {
-    *quit = true;
-    response += "ok\n";
-  } else if (result.status.ok()) {
-    response += "ok\n";
-  } else {
-    response += "err " + result.status.ToString() + "\n";
-  }
-  return response;
-}
-
 std::string FrontendServer::Gate(Conn& conn, const std::string& line) {
-  std::string trimmed = TrimView(line);
+  if (options_.accounts.empty()) return "";
+  Session::CommandLine cmd = Session::ParseCommand(line);
   // No-op lines (blank, comments) carry no authority and pass untouched —
   // the session answers them `ok` without counting a command, exactly as
   // the differential mirror does.
-  if (trimmed.empty() || trimmed[0] == '%' || trimmed[0] == '#') return "";
-  if (options_.accounts.empty()) return "";
-  std::string word = FirstWord(trimmed);
-  if (word == "auth") {
-    size_t split = trimmed.find_first_of(" \t");
-    std::string rest =
-        split == std::string::npos ? "" : TrimView(trimmed.substr(split));
-    size_t gap = rest.find_first_of(" \t");
-    std::string user = gap == std::string::npos ? rest : rest.substr(0, gap);
-    std::string token =
-        gap == std::string::npos ? "" : TrimView(rest.substr(gap));
+  if (cmd.word.empty()) return "";
+  if (cmd.word == "auth") {
+    // `rest` is trimmed, so a token, when present, ends it.
+    size_t gap = cmd.rest.find_first_of(" \t");
+    std::string user(cmd.rest.substr(0, gap));
+    std::string_view token =
+        gap == std::string_view::npos
+            ? std::string_view()
+            : cmd.rest.substr(cmd.rest.find_first_not_of(" \t\r\n", gap));
     if (user.empty() || token.empty() ||
-        token.find_first_of(" \t") != std::string::npos) {
+        token.find_first_of(" \t") != std::string_view::npos) {
       return "err InvalidArgument: usage: auth <user> <token>\n";
     }
     for (const ServerAccount& account : options_.accounts) {
@@ -239,7 +200,7 @@ std::string FrontendServer::Gate(Conn& conn, const std::string& line) {
            "'\n";
   }
   if (!conn.authed) {
-    if (word == "quit" || word == "exit") {
+    if (cmd.word == "quit" || cmd.word == "exit") {
       conn.closing = true;
       conn.read_shut = true;
       conn.lines.clear();
@@ -248,7 +209,8 @@ std::string FrontendServer::Gate(Conn& conn, const std::string& line) {
     return "err Unauthenticated: authenticate first (auth <user> "
            "<token>)\n";
   }
-  if (!conn.can_write && IsMutatingCommand(word)) {
+  if (!conn.can_write && cmd.command != nullptr &&
+      cmd.command->refused_read_only) {
     return "err PermissionDenied: user '" + conn.user + "' is read-only\n";
   }
   return "";
@@ -483,11 +445,12 @@ void FrontendServer::Pump(Conn& conn) {
     conn.executing = true;
     Status submitted =
         service_->SubmitTask([this, session, id, line = std::move(line)] {
-          bool quit = false;
-          std::string response = RespondTo(*session, line, &quit);
+          CommandResult result = session->Execute(line);
+          std::string response = RenderWireResponse(result);
           {
             std::lock_guard<std::mutex> lock(comp_mu_);
-            completions_.push_back(Completion{id, std::move(response), quit});
+            completions_.push_back(
+                Completion{id, std::move(response), result.quit});
           }
           uint64_t tick = 1;
           [[maybe_unused]] ssize_t w =

@@ -27,20 +27,20 @@
 /// terminator line: `ok`, or `err <Code>: <message>`. Payload lines are
 /// the session's CommandResult output verbatim; no payload line the
 /// frontend emits is ever the bare word `ok` or starts with `err `, so a
-/// client can parse responses by scanning for the terminator. `STATS` is
-/// accepted as an alias for `show stats` (surfacing the shared service,
-/// oracle, and plan-cache counters); `quit` answers `ok` and closes the
-/// connection. `load` is disabled on server sessions — scripts run
-/// client-side. When `accounts` is non-empty the server additionally
-/// requires an `auth <user> <token>` handshake before any other command
-/// (gated with `err Unauthenticated`), and read-only accounts get `err
-/// PermissionDenied` on mutating commands; each connection's views and
-/// facts are visible only on that connection, so authenticated tenants
-/// never see each other's schema. Idle connections are closed after
-/// `idle_timeout_ms`; Stop() drains gracefully — queued responses are
-/// flushed (bounded by `drain_timeout_ms`) and in-flight commands always
-/// complete before their connection is destroyed. The full protocol spec
-/// lives in docs/OPERATIONS.md.
+/// client can parse responses by scanning for the terminator
+/// (RenderWireResponse in frontend/session.h renders them). `show stats`
+/// surfaces the shared service, oracle, and plan-cache counters; `quit`
+/// answers `ok` and closes the connection. `load` is disabled on server
+/// sessions — scripts run client-side. When `accounts` is non-empty the
+/// server additionally requires an `auth <user> <token>` handshake before
+/// any other command (gated with `err Unauthenticated`), and read-only
+/// accounts get `err PermissionDenied` on mutating commands; each
+/// connection's views and facts are visible only on that connection, so
+/// authenticated tenants never see each other's schema. Idle connections
+/// are closed after `idle_timeout_ms`; Stop() drains gracefully — queued
+/// responses are flushed (bounded by `drain_timeout_ms`) and in-flight
+/// commands always complete before their connection is destroyed. The
+/// full protocol spec lives in docs/OPERATIONS.md.
 
 #ifndef AQV_FRONTEND_SERVER_H_
 #define AQV_FRONTEND_SERVER_H_
@@ -67,9 +67,10 @@ namespace aqv {
 struct ServerAccount {
   std::string user;
   std::string token;
-  /// False makes the account read-only: schema- or state-mutating
-  /// commands (view/query/fact/reset/save/open) are refused with
-  /// PermissionDenied; rewrite/answer/show/explain still work.
+  /// False makes the account read-only: the commands the session's table
+  /// marks `refused_read_only` (view/query/fact/load/reset/save/open) are
+  /// refused with PermissionDenied; rewrite/answer/show/explain still
+  /// work.
   bool can_write = true;
 };
 
@@ -186,12 +187,9 @@ class FrontendServer {
   void CloseConn(Conn& conn);
   /// The auth/permission gate. Returns an empty string when `line` may
   /// proceed to the session, else the full wire response that answers it
-  /// at the boundary. Sets *handled_quit for gated `quit`.
+  /// at the boundary. A gated `quit` (before `auth`) also marks `conn`
+  /// closing.
   std::string Gate(Conn& conn, const std::string& line);
-  /// Executes one protocol line on `session` (worker thread), returning
-  /// the full wire response (payload + terminator). Sets *quit.
-  static std::string RespondTo(Session& session, const std::string& line,
-                               bool* quit);
 
   ServerOptions options_;
   std::unique_ptr<RewriteService> service_;

@@ -15,11 +15,11 @@ namespace aqv {
 
 namespace {
 
-std::string Trim(std::string_view s) {
+std::string_view Trim(std::string_view s) {
   size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string_view::npos) return "";
+  if (b == std::string_view::npos) return {};
   size_t e = s.find_last_not_of(" \t\r\n");
-  return std::string(s.substr(b, e - b + 1));
+  return s.substr(b, e - b + 1);
 }
 
 std::vector<std::string> SplitWords(const std::string& s) {
@@ -32,21 +32,6 @@ std::vector<std::string> SplitWords(const std::string& s) {
     if (i > b) out.push_back(s.substr(b, i - b));
   }
   return out;
-}
-
-std::vector<std::string> SplitLines(std::string_view text) {
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start <= text.size()) {
-    size_t nl = text.find('\n', start);
-    if (nl == std::string_view::npos) {
-      lines.emplace_back(text.substr(start));
-      break;
-    }
-    lines.emplace_back(text.substr(start, nl - start));
-    start = nl + 1;
-  }
-  return lines;
 }
 
 void AppendLine(std::string* out, std::string_view line) {
@@ -72,12 +57,6 @@ std::string SortedRows(const Relation& rel, const Catalog& catalog) {
   std::string text = sorted.ToString(catalog);
   while (!text.empty() && text.back() == '\n') text.pop_back();
   return text;
-}
-
-CommandResult Fail(Status status) {
-  CommandResult r;
-  r.status = std::move(status);
-  return r;
 }
 
 /// Every engine knob that can change a rewrite's output, rendered as a
@@ -118,91 +97,16 @@ CommandResult Say(std::string output) {
   return r;
 }
 
-}  // namespace
-
-std::string TranscriptLines(const CommandResult& result) {
-  std::string out = result.output;
-  if (!result.status.ok()) {
-    AppendLine(&out, "error: " + result.status.ToString());
-  }
-  return out;
-}
-
-Session::Session(SessionOptions options)
-    : options_(std::move(options)),
-      catalog_(std::make_unique<Catalog>()),
-      base_(catalog_.get()) {
-  // Resolved once, so engine calls and `show stats` see the same oracle.
-  if (options_.engine.oracle == nullptr && options_.service != nullptr) {
-    options_.engine.oracle = &options_.service->oracle();
-  }
-}
-
-CommandResult Session::Execute(std::string_view line) {
-  std::string trimmed = Trim(line);
-  if (trimmed.empty() || trimmed[0] == '%' || trimmed[0] == '#') return {};
-  ++commands_;
-  size_t split = trimmed.find_first_of(" \t");
-  std::string cmd = trimmed.substr(0, split);
-  std::string rest =
-      split == std::string::npos ? "" : Trim(trimmed.substr(split));
-  if (cmd == "quit" || cmd == "exit") {
-    CommandResult r;
-    r.quit = true;
-    return r;
-  }
-  if (cmd == "help") return CmdHelp();
-  if (cmd == "view") return Journaled(trimmed, CmdView(rest));
-  if (cmd == "query") return Journaled(trimmed, CmdQuery(rest));
-  if (cmd == "fact") return Journaled(trimmed, CmdFact(rest));
-  if (cmd == "load") return CmdLoad(rest);
-  if (cmd == "save") return CmdSave(rest);
-  if (cmd == "open") return CmdOpen(rest);
-  if (cmd == "show") return CmdShow(rest);
-  if (cmd == "rewrite") return CmdRewrite(rest);
-  if (cmd == "answer") return CmdAnswer(rest);
-  if (cmd == "explain") return CmdExplain();
-  if (cmd == "reset") return CmdReset();
-  return Fail(Status::InvalidArgument("unknown command '" + cmd +
-                                      "' (try 'help')"));
-}
-
-std::vector<CommandResult> Session::ExecuteScript(std::string_view text) {
-  std::vector<CommandResult> results;
-  for (const std::string& line : SplitLines(text)) {
-    results.push_back(Execute(line));
-    if (results.back().quit) break;
-  }
-  return results;
-}
-
-CommandResult Session::CmdHelp() {
-  return Say(
-      "commands:\n"
-      "  view <rule(s)>    add view definition(s), e.g. view v(X) :- e(X, "
-      "Y).\n"
-      "  query <rule(s)>   set the query (several rules = a union query)\n"
-      "  fact <atom>.      add a ground fact, e.g. fact e(1, 2).\n"
-      "  load <path>       run a script of commands from a file\n"
-      "  show views|facts|engines|stats\n"
-      "  rewrite [with <engine>]\n"
-      "  answer [route <route>] [with <engine>]\n"
-      "  explain           cost-rank every equivalent plan\n"
-      "  save <dir>        snapshot the session into a database directory\n"
-      "  open <dir>        load a database directory (snapshot + journal)\n"
-      "  reset             drop views, facts, and the query (detaches the "
-      "store)\n"
-      "  help              this text\n"
-      "  quit              end the session\n"
-      "engines: lmss, bucket, minicon, ucq\n"
-      "routes: direct, complete, inverse-rules, cost");
+bool HasFacts(const Database& base, PredId pred) {
+  const Relation* facts = base.Find(pred);
+  return facts != nullptr && !facts->empty();
 }
 
 /// Snapshot of every predicate's kind, for rolling back the intensional
 /// marks ParseProgram applies to rule heads when a command fails partway:
 /// committed commands are all-or-nothing, and a failed one must not
 /// strand a predicate as intensional (which would block later `fact`s).
-class Session::KindSnapshot {
+class KindSnapshot {
  public:
   explicit KindSnapshot(Catalog* catalog) : catalog_(catalog) {
     kinds_.reserve(catalog->num_predicates());
@@ -228,47 +132,221 @@ class Session::KindSnapshot {
   std::vector<PredKind> kinds_;
 };
 
-CommandResult Session::CmdView(const std::string& rest) {
+/// Parses the `with <engine>` / `route <route>` word pairs of `rewrite`
+/// and `answer` into `*engine` and `*route`. A null `route` accepts only
+/// a single `with` pair (the `rewrite` syntax).
+Status ParseEngineRoute(const std::string& rest, const char* usage,
+                        std::string* engine, AnswerRoute* route) {
+  std::vector<std::string> words = SplitWords(rest);
+  if (route == nullptr && words.size() > 2) {
+    return Status::InvalidArgument(usage);
+  }
+  for (size_t i = 0; i < words.size(); i += 2) {
+    if (i + 1 >= words.size()) return Status::InvalidArgument(usage);
+    if (words[i] == "with") {
+      *engine = words[i + 1];
+    } else if (words[i] == "route" && route != nullptr) {
+      AQV_ASSIGN_OR_RETURN(*route, AnswerRouteByName(words[i + 1]));
+    } else {
+      return Status::InvalidArgument(usage);
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+std::string TranscriptLines(const CommandResult& result) {
+  std::string out = result.output;
+  if (!result.status.ok()) {
+    AppendLine(&out, "error: " + result.status.ToString());
+  }
+  return out;
+}
+
+std::string RenderWireResponse(const CommandResult& result) {
+  std::string response = result.output;
+  if (!response.empty()) response += '\n';
+  if (result.status.ok()) {
+    response += "ok\n";
+  } else {
+    response += "err " + result.status.ToString() + "\n";
+  }
+  return response;
+}
+
+const std::vector<Session::Command>& Session::Commands() {
+  using M = MirrorMode;
+  // word, handler, refused for read-only accounts, journaled, mirror
+  // treatment, help line. `show stats` precedes `show`: the first match
+  // wins.
+  static const std::vector<Command> table = {
+      {"view", &Session::CmdView, true, true, M::kCompare,
+       "view <rule(s)>    add view definition(s), e.g. view v(X) :- "
+       "e(X, Y)."},
+      {"query", &Session::CmdQuery, true, true, M::kCompare,
+       "query <rule(s)>   set the query (several rules = a union query)"},
+      {"fact", &Session::CmdFact, true, true, M::kCompare,
+       "fact <atom>.      add a ground fact, e.g. fact e(1, 2)."},
+      {"load", &Session::CmdLoad, true, false, M::kExecute,
+       "load <path>       run a script of commands from a file"},
+      {"show stats", &Session::CmdStats, false, false, M::kExecute, ""},
+      {"show", &Session::CmdShow, false, false, M::kCompare,
+       "show views|facts|engines|stats"},
+      {"STATS", &Session::CmdStats, false, false, M::kExecute, ""},
+      {"rewrite", &Session::CmdRewrite, false, false, M::kCompare,
+       "rewrite [with <engine>]"},
+      {"answer", &Session::CmdAnswer, false, false, M::kCompare,
+       "answer [route <route>] [with <engine>]"},
+      {"explain", &Session::CmdExplain, false, false, M::kCompare,
+       "explain           cost-rank every equivalent plan"},
+      {"save", &Session::CmdSave, true, false, M::kSkip,
+       "save <dir>        snapshot the session into a database directory"},
+      {"open", &Session::CmdOpen, true, false, M::kSkip,
+       "open <dir>        load a database directory (snapshot + journal)"},
+      {"reset", &Session::CmdReset, true, false, M::kCompare,
+       "reset             drop views, facts, and the query (detaches the "
+       "store)"},
+      {"help", &Session::CmdHelp, false, false, M::kCompare,
+       "help              this text"},
+      {"quit", &Session::CmdQuit, false, false, M::kCompare,
+       "quit              end the session"},
+      {"exit", &Session::CmdQuit, false, false, M::kCompare, ""},
+  };
+  return table;
+}
+
+Session::CommandLine Session::ParseCommand(std::string_view line) {
+  CommandLine parsed;
+  parsed.text = Trim(line);
+  if (parsed.text.empty() || parsed.text[0] == '%' || parsed.text[0] == '#') {
+    return parsed;
+  }
+  size_t split = parsed.text.find_first_of(" \t");
+  parsed.word = parsed.text.substr(0, split);
+  if (split != std::string_view::npos) {
+    parsed.rest = Trim(parsed.text.substr(split));
+  }
+  for (const Command& row : Commands()) {
+    size_t space = row.word.find(' ');
+    bool match = space == std::string_view::npos
+                     ? row.word == parsed.word
+                     : row.word.substr(0, space) == parsed.word &&
+                           row.word.substr(space + 1) == parsed.rest;
+    if (match) {
+      parsed.command = &row;
+      break;
+    }
+  }
+  return parsed;
+}
+
+Session::Session(SessionOptions options)
+    : options_(std::move(options)),
+      catalog_(std::make_unique<Catalog>()),
+      base_(catalog_.get()) {
+  // Resolved once, so engine calls and `show stats` see the same oracle.
+  if (options_.engine.oracle == nullptr && options_.service != nullptr) {
+    options_.engine.oracle = &options_.service->oracle();
+  }
+}
+
+CommandResult Session::Execute(std::string_view line) {
+  CommandLine parsed = ParseCommand(line);
+  if (parsed.word.empty()) return {};
+  ++commands_;
+  if (parsed.command == nullptr) {
+    return Status::InvalidArgument("unknown command '" +
+                                   std::string(parsed.word) + "' (try 'help')");
+  }
+  CommandResult result =
+      (this->*parsed.command->handler)(std::string(parsed.rest));
+  // Autosave-on-mutation. A journal failure turns the result into an
+  // error: the mutation applied in memory but is not durable.
+  if (parsed.command->journaled && result.ok() && store_ != nullptr &&
+      !replaying_journal_) {
+    Status st = store_->Append(std::string(parsed.text));
+    if (!st.ok()) result.status = std::move(st);
+  }
+  return result;
+}
+
+std::vector<CommandResult> Session::ExecuteScript(std::string_view text) {
+  std::vector<CommandResult> results;
+  while (true) {
+    size_t nl = text.find('\n');
+    results.push_back(Execute(text.substr(0, nl)));
+    if (results.back().quit || nl == std::string_view::npos) break;
+    text.remove_prefix(nl + 1);
+  }
+  return results;
+}
+
+CommandResult Session::CmdHelp(const std::string&) {
+  std::string out = "commands:";
+  for (const Command& row : Commands()) {
+    if (!row.help.empty()) AppendLine(&out, "  " + std::string(row.help));
+  }
+  AppendLine(&out, "engines: lmss, bucket, minicon, ucq");
+  AppendLine(&out, "routes: direct, complete, inverse-rules, cost");
+  return Say(std::move(out));
+}
+
+CommandResult Session::CmdQuit(const std::string&) {
+  CommandResult r;
+  r.quit = true;
+  return r;
+}
+
+CommandResult Session::DefineRules(
+    const std::string& rest, const char* usage,
+    CommandResult (Session::*commit)(std::vector<Query> rules)) {
   KindSnapshot snapshot(catalog_.get());
   auto rules = ParseProgram(rest, catalog_.get());
+  CommandResult result = Status::InvalidArgument(usage);
   if (!rules.ok()) {
-    snapshot.Restore();
-    return Fail(rules.status());
+    result = rules.status();
+  } else if (!rules->empty()) {
+    result = (this->*commit)(std::move(*rules));
   }
-  if (rules->empty()) {
-    return Fail(Status::InvalidArgument(
-        "usage: view <rule>, e.g. view v(X) :- e(X, Y)."));
-  }
+  if (!result.ok()) snapshot.Restore();
+  return result;
+}
+
+CommandResult Session::CmdView(const std::string& rest) {
+  return DefineRules(rest, "usage: view <rule>, e.g. view v(X) :- e(X, Y).",
+                     &Session::AddViews);
+}
+
+CommandResult Session::CmdQuery(const std::string& rest) {
+  return DefineRules(rest, "usage: query <rule>, e.g. query q(X) :- e(X, Y).",
+                     &Session::SetQuery);
+}
+
+CommandResult Session::AddViews(std::vector<Query> rules) {
   // Pre-validate every rule so the command commits all-or-nothing (the
   // checks below are exactly ViewSet::AddRule's failure modes plus the
   // facts guard; parsing already Validate()d each rule).
-  for (const Query& rule : *rules) {
+  for (const Query& rule : rules) {
     PredId pred = rule.head().pred;
     const std::string& name = catalog_->pred(pred).name;
-    const Relation* facts = base_.Find(pred);
-    if (facts != nullptr && !facts->empty()) {
-      snapshot.Restore();
-      return Fail(Status::InvalidArgument(
+    if (HasFacts(base_, pred)) {
+      return Status::InvalidArgument(
           "predicate '" + name +
-          "' already has facts; cannot redefine it as a view"));
+          "' already has facts; cannot redefine it as a view");
     }
     for (const Atom& a : rule.body()) {
       if (a.pred == pred) {
-        snapshot.Restore();
-        return Fail(Status::InvalidArgument("view '" + name +
-                                            "' refers to itself"));
+        return Status::InvalidArgument("view '" + name +
+                                       "' refers to itself");
       }
     }
   }
   std::string out;
-  for (Query& rule : *rules) {
+  for (Query& rule : rules) {
     PredId pred = rule.head().pred;
     std::string name = catalog_->pred(pred).name;
-    Status st = views_.AddRule(std::move(rule));
-    if (!st.ok()) {
-      snapshot.Restore();
-      return Fail(std::move(st));
-    }
+    AQV_RETURN_NOT_OK(views_.AddRule(std::move(rule)));
     int rules_for_pred = 0;
     for (const View& v : views_.views()) {
       if (v.pred == pred) ++rules_for_pred;
@@ -283,34 +361,20 @@ CommandResult Session::CmdView(const std::string& rest) {
   return Say(std::move(out));
 }
 
-CommandResult Session::CmdQuery(const std::string& rest) {
-  KindSnapshot snapshot(catalog_.get());
-  auto rules = ParseProgram(rest, catalog_.get());
-  if (!rules.ok()) {
-    snapshot.Restore();
-    return Fail(rules.status());
-  }
-  if (rules->empty()) {
-    return Fail(Status::InvalidArgument(
-        "usage: query <rule>, e.g. query q(X) :- e(X, Y)."));
-  }
-  const Atom& head = rules->front().head();
-  for (const Query& d : *rules) {
+CommandResult Session::SetQuery(std::vector<Query> rules) {
+  const Atom& head = rules.front().head();
+  for (const Query& d : rules) {
     if (d.head().pred != head.pred || d.head().arity() != head.arity()) {
-      snapshot.Restore();
-      return Fail(Status::InvalidArgument(
-          "query disjuncts disagree on the head predicate"));
+      return Status::InvalidArgument(
+          "query disjuncts disagree on the head predicate");
     }
   }
-  const Relation* head_facts = base_.Find(head.pred);
-  if (head_facts != nullptr && !head_facts->empty()) {
-    snapshot.Restore();
-    return Fail(Status::InvalidArgument(
+  if (HasFacts(base_, head.pred)) {
+    return Status::InvalidArgument(
         "predicate '" + catalog_->pred(head.pred).name +
-        "' already has facts; cannot use it as the query head"));
+        "' already has facts; cannot use it as the query head");
   }
-  UnionQuery q;
-  q.disjuncts = std::move(*rules);
+  UnionQuery q{std::move(rules)};
   std::string out;
   if (q.size() == 1) {
     out = "query set: " + q.disjuncts[0].ToString();
@@ -323,32 +387,29 @@ CommandResult Session::CmdQuery(const std::string& rest) {
 }
 
 CommandResult Session::CmdFact(const std::string& rest) {
-  auto atom = ParseFact(rest, catalog_.get());
-  if (!atom.ok()) return Fail(atom.status());
+  AQV_ASSIGN_OR_RETURN(Atom atom, ParseFact(rest, catalog_.get()));
   std::vector<Value> row;
-  row.reserve(atom->args.size());
-  for (const Term& t : atom->args) {
+  row.reserve(atom.args.size());
+  for (const Term& t : atom.args) {
     row.push_back(ValueOfConstant(*catalog_, t.constant()));
   }
-  base_.Add(atom->pred, row);
+  base_.Add(atom.pred, row);
   return Say("ok (" + CountNoun(base_.TotalTuples(), "fact", "facts") +
              " total)");
 }
 
 CommandResult Session::CmdLoad(const std::string& rest) {
   if (!options_.enable_load) {
-    return Fail(Status::Unimplemented("load is disabled in this session"));
+    return Status::Unimplemented("load is disabled in this session");
   }
-  if (rest.empty()) {
-    return Fail(Status::InvalidArgument("usage: load <path>"));
-  }
+  if (rest.empty()) return Status::InvalidArgument("usage: load <path>");
   if (load_depth_ >= options_.max_load_depth) {
-    return Fail(Status::ResourceExhausted(
-        "load depth cap (" + std::to_string(options_.max_load_depth) +
-        ") reached"));
+    return Status::ResourceExhausted("load depth cap (" +
+                                     std::to_string(options_.max_load_depth) +
+                                     ") reached");
   }
   std::ifstream in(rest);
-  if (!in) return Fail(Status::NotFound("cannot open '" + rest + "'"));
+  if (!in) return Status::NotFound("cannot open '" + rest + "'");
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
   uint64_t commands_before = commands_;
@@ -382,81 +443,74 @@ CommandResult Session::CmdLoad(const std::string& rest) {
 }
 
 CommandResult Session::CmdShow(const std::string& rest) {
+  std::string out;
   if (rest == "views") {
-    if (views_.empty()) return Say("(none)");
-    std::string out;
     for (const View& v : views_.views()) {
       AppendLine(&out, v.definition.ToString());
     }
-    return Say(std::move(out));
-  }
-  if (rest == "facts") {
-    std::string out;
+  } else if (rest == "facts") {
     for (PredId p : base_.Predicates()) {
       const Relation* rel = base_.Find(p);
       if (rel == nullptr || rel->empty()) continue;
       AppendLine(&out, catalog_->pred(p).name + ": " +
                            CountNoun(rel->size(), "tuple", "tuples"));
     }
-    if (out.empty()) return Say("(none)");
-    return Say(std::move(out));
-  }
-  if (rest == "engines") {
-    std::string out;
+  } else if (rest == "engines") {
     for (const std::string& name : EngineNames()) {
       AppendLine(&out, name + (name == options_.default_engine
                                    ? " (default)"
                                    : ""));
     }
-    return Say(std::move(out));
+  } else {
+    return Status::InvalidArgument("unknown show target '" + rest +
+                                   "' (views|facts|engines|stats)");
   }
-  if (rest == "stats") {
-    std::string out = "session: commands=" + std::to_string(commands_) +
-                      " views=" + std::to_string(views_.size()) +
-                      " facts=" + std::to_string(base_.TotalTuples()) +
-                      " query=" +
-                      (query_.has_value()
-                           ? std::to_string(query_->size()) + " disjunct(s)"
-                           : "(none)");
-    AppendLine(&out,
-               "last rewrite: candidates=" +
-                   std::to_string(last_rewrite_.num_candidates) +
-                   " combinations=" +
-                   std::to_string(last_rewrite_.combinations) +
-                   " checks=" + std::to_string(last_rewrite_.checks));
-    const ContainmentOracle* oracle = options_.engine.oracle;
-    if (oracle != nullptr) {
-      OracleStats os = oracle->stats();
-      char rate[16];
-      std::snprintf(rate, sizeof(rate), "%.2f", os.hit_rate());
-      AppendLine(&out, "oracle: hits=" + std::to_string(os.hits) +
-                           " misses=" + std::to_string(os.misses) +
-                           " inserts=" + std::to_string(os.inserts) +
-                           " hit_rate=" + rate);
-    }
-    if (options_.plan_cache != nullptr) {
-      PlanCacheStats ps = options_.plan_cache->stats();
-      char rate[16];
-      std::snprintf(rate, sizeof(rate), "%.2f", ps.hit_rate());
-      AppendLine(&out, "plan_cache: hits=" + std::to_string(ps.hits) +
-                           " misses=" + std::to_string(ps.misses) +
-                           " inserts=" + std::to_string(ps.inserts) +
-                           " size=" +
-                           std::to_string(options_.plan_cache->size()) +
-                           " hit_rate=" + rate);
-    }
-    if (options_.service != nullptr) {
-      ServiceStats ss = options_.service->lifetime_stats();
-      AppendLine(&out, "service: requests=" + std::to_string(ss.requests) +
-                           " ok=" + std::to_string(ss.ok) +
-                           " failed=" + std::to_string(ss.failed) +
-                           " workers=" + std::to_string(ss.num_workers) +
-                           " shards=" + std::to_string(ss.oracle_shards));
-    }
-    return Say(std::move(out));
+  return Say(out.empty() ? "(none)" : std::move(out));
+}
+
+CommandResult Session::CmdStats(const std::string&) {
+  std::string out = "session: commands=" + std::to_string(commands_) +
+                    " views=" + std::to_string(views_.size()) +
+                    " facts=" + std::to_string(base_.TotalTuples()) +
+                    " query=" +
+                    (query_.has_value()
+                         ? std::to_string(query_->size()) + " disjunct(s)"
+                         : "(none)");
+  AppendLine(&out, "last rewrite: candidates=" +
+                       std::to_string(last_rewrite_.num_candidates) +
+                       " combinations=" +
+                       std::to_string(last_rewrite_.combinations) +
+                       " checks=" + std::to_string(last_rewrite_.checks));
+  const ContainmentOracle* oracle = options_.engine.oracle;
+  if (oracle != nullptr) {
+    OracleStats os = oracle->stats();
+    char rate[16];
+    std::snprintf(rate, sizeof(rate), "%.2f", os.hit_rate());
+    AppendLine(&out, "oracle: hits=" + std::to_string(os.hits) +
+                         " misses=" + std::to_string(os.misses) +
+                         " inserts=" + std::to_string(os.inserts) +
+                         " hit_rate=" + rate);
   }
-  return Fail(Status::InvalidArgument("unknown show target '" + rest +
-                                      "' (views|facts|engines|stats)"));
+  if (options_.plan_cache != nullptr) {
+    PlanCacheStats ps = options_.plan_cache->stats();
+    char rate[16];
+    std::snprintf(rate, sizeof(rate), "%.2f", ps.hit_rate());
+    AppendLine(&out, "plan_cache: hits=" + std::to_string(ps.hits) +
+                         " misses=" + std::to_string(ps.misses) +
+                         " inserts=" + std::to_string(ps.inserts) +
+                         " size=" +
+                         std::to_string(options_.plan_cache->size()) +
+                         " hit_rate=" + rate);
+  }
+  if (options_.service != nullptr) {
+    ServiceStats ss = options_.service->lifetime_stats();
+    AppendLine(&out, "service: requests=" + std::to_string(ss.requests) +
+                         " ok=" + std::to_string(ss.ok) +
+                         " failed=" + std::to_string(ss.failed) +
+                         " workers=" + std::to_string(ss.num_workers) +
+                         " shards=" + std::to_string(ss.oracle_shards));
+  }
+  return Say(std::move(out));
 }
 
 Status Session::Ready(bool needs_views) const {
@@ -469,38 +523,11 @@ Status Session::Ready(bool needs_views) const {
   return Status::OK();
 }
 
-Result<RewriteResponse> Session::RunRewrite(const std::string& engine_name) {
-  RewriteRequest request;
-  request.query = *query_;
-  request.views = &views_;
-  request.options = options_.engine;
-  return RunEngine(engine_name, request);
-}
-
-Result<AnswerResponse> Session::RunAnswer(AnswerRoute route,
-                                          const std::string& engine_name) {
-  AnswerRequest request;
-  request.query = *query_;
-  request.views = &views_;
-  request.base = &base_;
-  request.engine = engine_name;
-  request.route = route;
-  request.options = options_.engine;
-  request.eval = options_.eval;
-  request.planner = options_.planner;
-  return AnswerQuery(request);
-}
-
 CommandResult Session::CmdRewrite(const std::string& rest) {
-  std::vector<std::string> words = SplitWords(rest);
   std::string engine = options_.default_engine;
-  if (words.size() == 2 && words[0] == "with") {
-    engine = words[1];
-  } else if (!words.empty()) {
-    return Fail(Status::InvalidArgument("usage: rewrite [with <engine>]"));
-  }
-  Status ready = Ready(/*needs_views=*/true);
-  if (!ready.ok()) return Fail(std::move(ready));
+  AQV_RETURN_NOT_OK(ParseEngineRoute(rest, "usage: rewrite [with <engine>]",
+                                     &engine, /*route=*/nullptr));
+  AQV_RETURN_NOT_OK(Ready(/*needs_views=*/true));
   // Shared plan cache: the key is the complete problem statement (engine,
   // options digest, rendered query and views), so a hit is byte-identical
   // to what recomputation would print and schema mutations miss naturally.
@@ -522,14 +549,17 @@ CommandResult Session::CmdRewrite(const std::string& rest) {
       return Say(std::move(plan->rendered));
     }
   }
-  auto response = RunRewrite(engine);
-  if (!response.ok()) return Fail(response.status());
-  last_rewrite_ = response->stats;
-  std::string out = "engine " + response->engine + ": equivalent=" +
-                    (response->equivalent_exists ? "yes" : "no") +
+  RewriteRequest request;
+  request.query = *query_;
+  request.views = &views_;
+  request.options = options_.engine;
+  AQV_ASSIGN_OR_RETURN(RewriteResponse response, RunEngine(engine, request));
+  last_rewrite_ = response.stats;
+  std::string out = "engine " + response.engine + ": equivalent=" +
+                    (response.equivalent_exists ? "yes" : "no") +
                     ", rewritings=" +
-                    std::to_string(response->rewritings.size());
-  for (const Query& rw : response->rewritings.disjuncts) {
+                    std::to_string(response.rewritings.size());
+  for (const Query& rw : response.rewritings.disjuncts) {
     AppendLine(&out, "  " + rw.ToString());
   }
   if (options_.plan_cache != nullptr) {
@@ -540,76 +570,62 @@ CommandResult Session::CmdRewrite(const std::string& rest) {
 }
 
 CommandResult Session::CmdAnswer(const std::string& rest) {
-  std::vector<std::string> words = SplitWords(rest);
   std::string engine = options_.default_engine;
   AnswerRoute route = options_.default_route;
-  for (size_t i = 0; i < words.size(); i += 2) {
-    if (i + 1 >= words.size()) {
-      return Fail(Status::InvalidArgument(
-          "usage: answer [route <route>] [with <engine>]"));
-    }
-    if (words[i] == "route") {
-      auto parsed = AnswerRouteByName(words[i + 1]);
-      if (!parsed.ok()) return Fail(parsed.status());
-      route = *parsed;
-    } else if (words[i] == "with") {
-      engine = words[i + 1];
-    } else {
-      return Fail(Status::InvalidArgument(
-          "usage: answer [route <route>] [with <engine>]"));
-    }
-  }
-  Status ready = Ready(/*needs_views=*/route != AnswerRoute::kDirect);
-  if (!ready.ok()) return Fail(std::move(ready));
-  auto response = RunAnswer(route, engine);
-  if (!response.ok()) return Fail(response.status());
-  last_rewrite_ = response->stats.rewrite;
-  std::string out = "route " + std::string(AnswerRouteName(response->route));
-  if (!response->engine.empty()) {
-    out += " (engine " + response->engine + ")";
-  }
-  out += ": " + CountNoun(response->result.size(), "answer", "answers") +
-         (response->exact ? " (exact)" : " (certain)");
-  std::string rows = SortedRows(response->result, *catalog_);
+  AQV_RETURN_NOT_OK(ParseEngineRoute(
+      rest, "usage: answer [route <route>] [with <engine>]", &engine, &route));
+  AQV_RETURN_NOT_OK(Ready(/*needs_views=*/route != AnswerRoute::kDirect));
+  AnswerRequest request;
+  request.query = *query_;
+  request.views = &views_;
+  request.base = &base_;
+  request.engine = engine;
+  request.route = route;
+  request.options = options_.engine;
+  request.eval = options_.eval;
+  request.planner = options_.planner;
+  AQV_ASSIGN_OR_RETURN(AnswerResponse response, AnswerQuery(request));
+  last_rewrite_ = response.stats.rewrite;
+  std::string out = "route " + std::string(AnswerRouteName(response.route));
+  if (!response.engine.empty()) out += " (engine " + response.engine + ")";
+  out += ": " + CountNoun(response.result.size(), "answer", "answers") +
+         (response.exact ? " (exact)" : " (certain)");
+  std::string rows = SortedRows(response.result, *catalog_);
   if (!rows.empty()) AppendLine(&out, rows);
   return Say(std::move(out));
 }
 
-CommandResult Session::CmdExplain() {
-  Status ready = Ready(/*needs_views=*/true);
-  if (!ready.ok()) return Fail(std::move(ready));
+CommandResult Session::CmdExplain(const std::string&) {
+  AQV_RETURN_NOT_OK(Ready(/*needs_views=*/true));
   if (query_->size() != 1) {
-    return Fail(Status::InvalidArgument(
-        "explain expects a single-CQ query (unions have no cost plan)"));
+    return Status::InvalidArgument(
+        "explain expects a single-CQ query (unions have no cost plan)");
   }
-  auto extents = MaterializeViews(views_, base_, options_.eval);
-  if (!extents.ok()) return Fail(extents.status());
-  ExtentStats view_stats = ExtentStats::FromDatabase(*extents);
-  ExtentStats base_stats = ExtentStats::FromDatabase(base_);
+  AQV_ASSIGN_OR_RETURN(Database extents,
+                       MaterializeViews(views_, base_, options_.eval));
   PlannerOptions popts = options_.planner;
   popts.engine = options_.engine;
-  auto plans = ChooseBestPlan(query_->disjuncts[0], views_, view_stats,
-                              base_stats, popts);
-  if (!plans.ok()) return Fail(plans.status());
-  last_rewrite_ = plans->stats;
-  if (plans->plans.empty() || plans->best < 0) {
-    return Say("no executable plan");
-  }
-  std::string out =
-      "plans (" + std::to_string(plans->plans.size()) + "):";
-  for (size_t i = 0; i < plans->plans.size(); ++i) {
-    const PlanChoice& p = plans->plans[i];
+  AQV_ASSIGN_OR_RETURN(
+      PlannerResult plans,
+      ChooseBestPlan(query_->disjuncts[0], views_,
+                     ExtentStats::FromDatabase(extents),
+                     ExtentStats::FromDatabase(base_), popts));
+  last_rewrite_ = plans.stats;
+  if (plans.plans.empty() || plans.best < 0) return Say("no executable plan");
+  std::string out = "plans (" + std::to_string(plans.plans.size()) + "):";
+  for (size_t i = 0; i < plans.plans.size(); ++i) {
+    const PlanChoice& p = plans.plans[i];
     AppendLine(&out, "  [" + std::to_string(i) + "] engine=" + p.engine +
                          " cost=" + FormatCost(p.estimated_cost) + " " +
                          (p.complete ? "complete" : "partial") + ": " +
                          p.rewriting.ToString());
   }
-  AppendLine(&out, "chosen: [" + std::to_string(plans->best) + "] engine=" +
-                       plans->plans[plans->best].engine);
+  AppendLine(&out, "chosen: [" + std::to_string(plans.best) + "] engine=" +
+                       plans.plans[plans.best].engine);
   return Say(std::move(out));
 }
 
-CommandResult Session::CmdReset() {
+CommandResult Session::CmdReset(const std::string&) {
   // Journal the reset before detaching, so recovery of the directory
   // replays it (the last record any journal can hold — nothing journals
   // after the detach below).
@@ -642,15 +658,6 @@ CommandResult Session::CmdReset() {
   return result;
 }
 
-CommandResult Session::Journaled(const std::string& line,
-                                 CommandResult result) {
-  if (result.ok() && store_ != nullptr && !replaying_journal_) {
-    Status st = store_->Append(line);
-    if (!st.ok()) result.status = std::move(st);
-  }
-  return result;
-}
-
 SnapshotInput Session::RenderSnapshot() const {
   SnapshotInput input;
   input.catalog = catalog_.get();
@@ -672,41 +679,38 @@ std::string Session::ProblemSummary() const {
          (query_.has_value() ? "set" : "unset");
 }
 
-CommandResult Session::CmdSave(const std::string& rest) {
+Status Session::CheckPersistTarget(const std::string& rest,
+                                   const char* usage) const {
   if (!options_.enable_persist) {
-    return Fail(Status::Unimplemented("save/open are disabled in this "
-                                      "session"));
+    return Status::Unimplemented("save/open are disabled in this session");
   }
   if (rest.empty() || rest.find_first_of(" \t") != std::string::npos) {
-    return Fail(Status::InvalidArgument("usage: save <dir>"));
+    return Status::InvalidArgument(usage);
   }
+  return Status::OK();
+}
+
+CommandResult Session::CmdSave(const std::string& rest) {
+  AQV_RETURN_NOT_OK(CheckPersistTarget(rest, "usage: save <dir>"));
   if (store_ == nullptr || store_->dir() != rest) {
     // Release any current attachment before locking the target: flock
     // treats two descriptors of one process as rivals, so a same-dir
     // re-attach must go through the existing store (the branch above).
     store_.reset();
-    auto attached = SessionStore::Attach(rest, options_.storage);
-    if (!attached.ok()) return Fail(attached.status());
-    store_ = std::move(*attached);
+    AQV_ASSIGN_OR_RETURN(store_, SessionStore::Attach(rest, options_.storage));
   }
   Status st = store_->Snapshot(RenderSnapshot());
   if (!st.ok()) {
     // A failed snapshot never damages the previous commit, but this
     // session can no longer claim the directory reflects it — detach.
     store_.reset();
-    return Fail(std::move(st));
+    return st;
   }
   return Say("saved: " + ProblemSummary());
 }
 
 CommandResult Session::CmdOpen(const std::string& rest) {
-  if (!options_.enable_persist) {
-    return Fail(Status::Unimplemented("save/open are disabled in this "
-                                      "session"));
-  }
-  if (rest.empty() || rest.find_first_of(" \t") != std::string::npos) {
-    return Fail(Status::InvalidArgument("usage: open <dir>"));
-  }
+  AQV_RETURN_NOT_OK(CheckPersistTarget(rest, "usage: open <dir>"));
   // Recover into locals first: a failed open must leave the session
   // exactly as it was.
   std::unique_ptr<SessionStore> incoming;
@@ -714,16 +718,11 @@ CommandResult Session::CmdOpen(const std::string& rest) {
   if (store_ != nullptr && store_->dir() == rest) {
     // Re-opening the attached directory re-reads disk through the held
     // lock (no flock self-conflict, no fd churn).
-    auto recovered = store_->Recover();
-    if (!recovered.ok()) return Fail(recovered.status());
-    state = std::move(*recovered);
+    AQV_ASSIGN_OR_RETURN(state, store_->Recover());
   } else {
-    auto attached = SessionStore::Attach(rest, options_.storage);
-    if (!attached.ok()) return Fail(attached.status());
-    auto recovered = (*attached)->Recover();
-    if (!recovered.ok()) return Fail(recovered.status());
-    incoming = std::move(*attached);
-    state = std::move(*recovered);
+    AQV_ASSIGN_OR_RETURN(incoming,
+                         SessionStore::Attach(rest, options_.storage));
+    AQV_ASSIGN_OR_RETURN(state, incoming->Recover());
   }
   // Stage the parsed problem against the recovered catalog before
   // touching session state.
@@ -731,11 +730,10 @@ CommandResult Session::CmdOpen(const std::string& rest) {
   for (const std::string& rule_text : state.view_rules) {
     auto rules = ParseProgram(rule_text, state.catalog.get());
     if (!rules.ok() || rules->size() != 1) {
-      return Fail(Status::Internal("stored view rule does not parse: '" +
-                                   rule_text + "'"));
+      return Status::Internal("stored view rule does not parse: '" +
+                              rule_text + "'");
     }
-    Status st = views.AddRule(std::move(rules->front()));
-    if (!st.ok()) return Fail(std::move(st));
+    AQV_RETURN_NOT_OK(views.AddRule(std::move(rules->front())));
   }
   std::optional<UnionQuery> query;
   if (!state.query_rules.empty()) {
@@ -745,12 +743,9 @@ CommandResult Session::CmdOpen(const std::string& rest) {
     }
     auto rules = ParseProgram(joined, state.catalog.get());
     if (!rules.ok()) {
-      return Fail(Status::Internal("stored query does not parse: '" + joined +
-                                   "'"));
+      return Status::Internal("stored query does not parse: '" + joined + "'");
     }
-    UnionQuery q;
-    q.disjuncts = std::move(*rules);
-    query = std::move(q);
+    query = UnionQuery{std::move(*rules)};
   }
   // Commit: adopt the recovered problem and replay the journal tail
   // through the normal dispatcher with re-journaling suppressed. The old

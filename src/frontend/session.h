@@ -2,14 +2,14 @@
 /// Umbrella header of the `frontend` module: the user-facing front door of
 /// the repository. A Session owns one answering-queries-using-views problem
 /// — catalog, view set, base facts, and the current query — and dispatches
-/// parsed text commands (`view`, `query`, `fact`, `load`, `show`,
-/// `rewrite`, `answer`, `explain`, `reset`, ...) onto the engine registry
-/// (rewriting/engine.h), the cost planner (rewriting/planner.h), and the
-/// answering pipeline (answering/answering.h). Every command returns a
-/// structured CommandResult, so the session is unit-testable without any
-/// I/O; the two thin transports — the `aqvsh` REPL/script runner under
-/// examples/ and the TCP line-protocol server in frontend/server.h — only
-/// move lines in and rendered results out. The surface syntax of rules and
+/// text commands (`view`, `query`, `fact`, `show`, `rewrite`, `answer`,
+/// ...) through one command table (Session::Commands) onto the engine
+/// registry (rewriting/engine.h), the cost planner (rewriting/planner.h),
+/// and the answering pipeline (answering/answering.h). Every command
+/// returns a structured CommandResult, so the session is unit-testable
+/// without any I/O; the two thin transports — the `aqvsh` REPL/script
+/// runner under examples/ and the TCP line-protocol server in
+/// frontend/server.h — only move lines in and rendered results out. The surface syntax of rules and
 /// facts is documented in docs/QUERY_LANGUAGE.md, the command set and
 /// transports in docs/FRONTEND.md.
 
@@ -43,6 +43,11 @@ namespace aqv {
 /// human-readable payload, and whether the command asked to end the
 /// session.
 struct CommandResult {
+  CommandResult() = default;
+  /// A bare result carrying `status`, so command code can `return` a
+  /// Status and use AQV_RETURN_NOT_OK / AQV_ASSIGN_OR_RETURN.
+  CommandResult(Status s) : status(std::move(s)) {}  // NOLINT(runtime/explicit)
+
   Status status;
   /// '\n'-separated payload lines, no trailing newline; empty for commands
   /// with nothing to say (comments, blank lines, quit).
@@ -58,6 +63,11 @@ struct CommandResult {
 /// aqvsh prints (payload to stdout, the error line to stderr) and what the
 /// docs doctest harness asserts fenced `aqv>` transcripts against.
 std::string TranscriptLines(const CommandResult& result);
+
+/// The wire rendering of a result (frontend/server.h protocol): the payload
+/// plus '\n' when non-empty, then the terminator line `ok` or
+/// `err <Code>: <message>`, each '\n'-terminated.
+std::string RenderWireResponse(const CommandResult& result);
 
 /// Construction-time knobs of a Session.
 struct SessionOptions {
@@ -104,11 +114,64 @@ struct SessionOptions {
 /// Session per client; concurrency lives in the shared RewriteService.
 class Session {
  public:
+  /// How the differential mirror (testing/differential.h) treats a command
+  /// when it replays a server connection's command stream.
+  enum class MirrorMode {
+    /// Execute it and byte-compare the response: the bytes depend only on
+    /// the command stream.
+    kCompare,
+    /// Execute it to stay in lock-step, but do not compare: the bytes
+    /// depend on process-wide counters or the filesystem.
+    kExecute,
+    /// Do not execute it: it touches disk, and the state it reloads is
+    /// the state the mirror already holds.
+    kSkip,
+  };
+
+  /// One row of the command table — the only definition of the command
+  /// set, read by Execute, the TCP server's auth gate, and the mirror.
+  struct Command {
+    /// The command word. A two-word key (`show stats`) matches only a
+    /// line whose remaining text is exactly its second word.
+    std::string_view word;
+    /// Runs the command on the text after the word (trimmed). Execute
+    /// is its only caller: it counts the command and journals it.
+    CommandResult (Session::*handler)(const std::string& rest);
+    /// A read-only server account is refused this command: it changes
+    /// the session's problem or its store.
+    bool refused_read_only;
+    /// On success, Execute appends the line to the attached store's
+    /// journal. (`reset` journals itself, before it detaches the store.)
+    bool journaled;
+    MirrorMode mirror;
+    /// The `help` line; empty for rows `help` does not list.
+    std::string_view help;
+  };
+
+  /// The command table, in `help` order.
+  static const std::vector<Command>& Commands();
+
+  /// A command line split the way Execute splits it. The views point into
+  /// the parsed line, which must outlive them.
+  struct CommandLine {
+    /// The line without surrounding whitespace (what the journal records).
+    std::string_view text;
+    /// The first word; empty for a blank or `%`/`#` comment line (a no-op).
+    std::string_view word;
+    /// Everything after the first word, trimmed.
+    std::string_view rest;
+    /// The table row the line selects; nullptr for no-ops and unknown
+    /// words.
+    const Command* command = nullptr;
+  };
+  static CommandLine ParseCommand(std::string_view line);
+
   explicit Session(SessionOptions options = {});
 
   /// Parses and executes one command line. Blank lines and `%`/`#` comment
-  /// lines are no-ops. Never throws, never exits: every failure is a
-  /// CommandResult whose status is non-OK, and the session survives it.
+  /// lines are no-ops; every other line counts as a command. Never throws,
+  /// never exits: every failure is a CommandResult whose status is non-OK,
+  /// and the session survives it.
   CommandResult Execute(std::string_view line);
 
   /// Executes `text` line by line (one command per line), returning one
@@ -127,25 +190,38 @@ class Session {
   const SessionStore* store() const { return store_.get(); }
 
  private:
-  class KindSnapshot;
-
-  CommandResult CmdHelp();
+  // Command handlers (the table's `handler` column). `help`, `explain`,
+  // `reset`, `quit` and the stats rows ignore trailing words.
+  CommandResult CmdHelp(const std::string& rest);
   CommandResult CmdView(const std::string& rest);
   CommandResult CmdQuery(const std::string& rest);
   CommandResult CmdFact(const std::string& rest);
   CommandResult CmdLoad(const std::string& rest);
   CommandResult CmdShow(const std::string& rest);
+  CommandResult CmdStats(const std::string& rest);
   CommandResult CmdRewrite(const std::string& rest);
   CommandResult CmdAnswer(const std::string& rest);
-  CommandResult CmdExplain();
-  CommandResult CmdReset();
+  CommandResult CmdExplain(const std::string& rest);
+  CommandResult CmdReset(const std::string& rest);
   CommandResult CmdSave(const std::string& rest);
   CommandResult CmdOpen(const std::string& rest);
+  CommandResult CmdQuit(const std::string& rest);
 
-  /// Appends the successful mutation `line` to the attached store's
-  /// journal (autosave-on-mutation); a journal failure turns the result
-  /// into an error — the mutation applied in memory but is not durable.
-  CommandResult Journaled(const std::string& line, CommandResult result);
+  /// The shared shape of `view` and `query`: parses `rest` as rules
+  /// (`usage` answers an empty program) and hands them to `commit`, which
+  /// validates and applies them and returns the payload. When any step
+  /// fails, predicate kinds roll back, so a failed command never strands
+  /// a predicate as intensional (which would block later `fact`s).
+  CommandResult DefineRules(
+      const std::string& rest, const char* usage,
+      CommandResult (Session::*commit)(std::vector<Query> rules));
+  CommandResult AddViews(std::vector<Query> rules);
+  CommandResult SetQuery(std::vector<Query> rules);
+
+  /// The shared guard of `save` and `open`: persistence is enabled and
+  /// `rest` is one directory word (else `usage`).
+  [[nodiscard]] Status CheckPersistTarget(const std::string& rest,
+                                          const char* usage) const;
 
   /// The session problem rendered for SessionStore::Snapshot.
   SnapshotInput RenderSnapshot() const;
@@ -156,13 +232,6 @@ class Session {
 
   /// "set a query first" / "add at least one view first" preconditions.
   [[nodiscard]] Status Ready(bool needs_views) const;
-
-  /// Runs `engine_name` on the session problem.
-  [[nodiscard]] Result<RewriteResponse> RunRewrite(const std::string& engine_name);
-
-  /// Runs the answering pipeline on the session problem.
-  [[nodiscard]] Result<AnswerResponse> RunAnswer(AnswerRoute route,
-                                   const std::string& engine_name);
 
   SessionOptions options_;
   std::unique_ptr<Catalog> catalog_;

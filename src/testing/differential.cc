@@ -1,4 +1,4 @@
-#include "frontend/differential.h"
+#include "testing/differential.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstring>
+#include <regex>
 #include <set>
 
 #include "answering/answering.h"
@@ -17,21 +18,6 @@
 namespace aqv {
 
 namespace {
-
-/// First whitespace-delimited token of `line` after leading blanks.
-std::string_view FirstWord(std::string_view line) {
-  size_t b = line.find_first_not_of(" \t");
-  if (b == std::string_view::npos) return {};
-  size_t e = line.find_first_of(" \t", b);
-  return line.substr(b, e == std::string_view::npos ? line.size() - b : e - b);
-}
-
-std::string_view SecondWord(std::string_view line) {
-  std::string_view first = FirstWord(line);
-  if (first.empty()) return {};
-  size_t off = static_cast<size_t>(first.data() - line.data()) + first.size();
-  return FirstWord(line.substr(off));
-}
 
 /// The mirror's own ground truth: the direct route over the mirror's
 /// current state, rendered exactly like the session renders answer rows
@@ -66,17 +52,6 @@ std::string Divergence::ToString() const {
          "`: " + kind;
 }
 
-std::string RenderWireResponse(const CommandResult& result) {
-  std::string response = result.output;
-  if (!response.empty()) response += '\n';
-  if (result.status.ok()) {
-    response += "ok\n";
-  } else {
-    response += "err " + result.status.ToString() + "\n";
-  }
-  return response;
-}
-
 std::vector<std::string> SplitScriptLines(const std::string& text) {
   std::vector<std::string> lines;
   size_t start = 0;
@@ -93,63 +68,24 @@ std::vector<std::string> SplitScriptLines(const std::string& text) {
 }
 
 Result<ParsedAnswerPayload> ParseAnswerPayload(const std::string& payload) {
+  static const std::regex kHeader(
+      R"(route ([^ :]*)(?: \(engine ([^)]*)\))?: (\d+) (answers?) )"
+      R"(\((exact|certain)\))");
   std::vector<std::string> lines = SplitScriptLines(payload);
-  if (lines.empty()) {
-    return Status::InvalidArgument("answer payload is empty");
+  std::smatch m;
+  if (lines.empty() || !std::regex_match(lines[0], m, kHeader)) {
+    return Status::InvalidArgument("answer header does not match the "
+                                   "transcript grammar: '" +
+                                   (lines.empty() ? "" : lines[0]) + "'");
   }
-  const std::string& header = lines[0];
   ParsedAnswerPayload parsed;
-  size_t pos = 0;
-  auto expect = [&](std::string_view token) -> bool {
-    if (header.compare(pos, token.size(), token) != 0) return false;
-    pos += token.size();
-    return true;
-  };
-  if (!expect("route ")) {
-    return Status::InvalidArgument("answer header does not start with 'route ': '" +
-                                   header + "'");
-  }
-  size_t route_end = header.find_first_of(" :", pos);
-  if (route_end == std::string::npos) {
-    return Status::InvalidArgument("answer header missing ':': '" + header + "'");
-  }
-  parsed.route = header.substr(pos, route_end - pos);
-  pos = route_end;
-  if (expect(" (engine ")) {
-    size_t close = header.find(')', pos);
-    if (close == std::string::npos) {
-      return Status::InvalidArgument("unterminated engine echo: '" + header + "'");
-    }
-    parsed.engine = header.substr(pos, close - pos);
-    pos = close + 1;
-  }
-  if (!expect(": ")) {
-    return Status::InvalidArgument("answer header missing ': ': '" + header + "'");
-  }
-  size_t digits = pos;
-  while (pos < header.size() &&
-         std::isdigit(static_cast<unsigned char>(header[pos]))) {
-    ++pos;
-  }
-  if (pos == digits) {
-    return Status::InvalidArgument("answer header missing count: '" + header + "'");
-  }
-  parsed.count = std::stoi(header.substr(digits, pos - digits));
-  if (!expect(parsed.count == 1 ? " answer" : " answers")) {
+  parsed.route = m[1];
+  parsed.engine = m[2];
+  parsed.count = std::stoi(m[3]);
+  parsed.exact = m[5] == "exact";
+  if (m[4] != (parsed.count == 1 ? "answer" : "answers")) {
     return Status::InvalidArgument("answer header count noun mismatch: '" +
-                                   header + "'");
-  }
-  if (expect(" (exact)")) {
-    parsed.exact = true;
-  } else if (expect(" (certain)")) {
-    parsed.exact = false;
-  } else {
-    return Status::InvalidArgument("answer header missing exactness tag: '" +
-                                   header + "'");
-  }
-  if (pos != header.size()) {
-    return Status::InvalidArgument("trailing junk in answer header: '" + header +
-                                   "'");
+                                   lines[0] + "'");
   }
   for (size_t i = 1; i < lines.size(); ++i) {
     // Row lines: "(v1, v2)" tuples; "{()}"/"{}" for nullary heads.
@@ -173,50 +109,33 @@ MirrorChecker::MirrorChecker(SessionOptions options)
         return Session(std::move(options));
       }()) {}
 
-bool MirrorChecker::IsCheckable(std::string_view command) {
-  std::string_view first = FirstWord(command);
-  if (first.empty() || first[0] == '%' || first[0] == '#') return false;
-  if (command == "STATS" || first == "load") return false;
-  if (first == "save" || first == "open") return false;
-  if (first == "auth") return false;  // server-boundary, no mirror analogue
-  if (first == "show" && SecondWord(command) == "stats") return false;
-  return true;
+Session::MirrorMode MirrorChecker::ModeOf(std::string_view command) {
+  Session::CommandLine line = Session::ParseCommand(command);
+  if (line.word == "auth") return Session::MirrorMode::kSkip;
+  if (line.word.empty()) return Session::MirrorMode::kExecute;
+  if (line.command == nullptr) return Session::MirrorMode::kCompare;
+  return line.command->mirror;
 }
 
 std::optional<Divergence> MirrorChecker::Check(const std::string& command,
                                                const std::string& raw_response) {
-  std::string_view first_word = FirstWord(command);
-  if (first_word == "auth") {
-    // Authentication is handled at the server boundary, before any
-    // session sees the line; the mirror session must not execute it (it
-    // would count a command the server session never saw).
-    ++index_;
-    return std::nullopt;
-  }
-  if (first_word == "save" || first_word == "open") {
-    // The mirror never touches disk. Skipping save/open entirely keeps it
-    // in lock-step anyway: mutations are journaled as they run, so a
-    // server-side `open` reloads exactly the state both sides already
-    // hold — and every answer byte-compare after this point doubles as a
-    // persistence round-trip check (recovered state vs never-persisted
-    // mirror state).
-    ++index_;
-    return std::nullopt;
-  }
-  CommandResult mirror =
-      session_.Execute(command == "STATS" ? "show stats" : command);
   int index = index_++;
-  if (!IsCheckable(command)) return std::nullopt;
+  // Skipped lines never reach the mirror session: `auth` would count a
+  // command the server session never saw, and save/open would touch
+  // disk. Skipping save/open keeps the mirror in lock-step anyway:
+  // mutations are journaled as they run, so a server-side `open` reloads
+  // exactly the state both sides already hold — and every answer
+  // byte-compare after it doubles as a persistence round-trip check
+  // (recovered state vs never-persisted mirror state).
+  Session::MirrorMode mode = ModeOf(command);
+  if (mode == Session::MirrorMode::kSkip) return std::nullopt;
+  CommandResult mirror = session_.Execute(command);
+  if (mode != Session::MirrorMode::kCompare) return std::nullopt;
 
   auto diverge = [&](std::string kind, std::string expected,
                      std::string actual) {
-    Divergence d;
-    d.command_index = index;
-    d.command = command;
-    d.kind = std::move(kind);
-    d.expected = std::move(expected);
-    d.actual = std::move(actual);
-    return d;
+    return Divergence{index, command, std::move(kind), std::move(expected),
+                      std::move(actual)};
   };
 
   std::string expected = RenderWireResponse(mirror);
@@ -224,9 +143,9 @@ std::optional<Divergence> MirrorChecker::Check(const std::string& command,
     return diverge("wire-mismatch", expected, raw_response);
   }
 
-  std::string_view first = FirstWord(command);
-  if (first == "rewrite" && mirror.ok()) ++rewrites_checked_;
-  if (first != "answer" || !mirror.ok()) return std::nullopt;
+  std::string_view word = Session::ParseCommand(command).word;
+  if (word == "rewrite" && mirror.ok()) ++rewrites_checked_;
+  if (word != "answer" || !mirror.ok()) return std::nullopt;
 
   ++answers_checked_;
   auto parsed = ParseAnswerPayload(mirror.output);
@@ -277,36 +196,30 @@ bool FlipOneAnswer(std::string* raw_response) {
 
 namespace {
 
-/// Buffered line reads off a connected socket.
-class LineReader {
- public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  Result<std::string> NextLine() {
-    while (true) {
-      size_t nl = carry_.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = carry_.substr(0, nl);
-        carry_.erase(0, nl + 1);
-        return line;
-      }
-      char buf[4096];
-      ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n == 0) {
-        return Status::Internal("server closed the connection mid-response");
-      }
-      if (n < 0) {
-        return Status::Internal(std::string("recv failed: ") +
-                                std::strerror(errno));
-      }
-      carry_.append(buf, static_cast<size_t>(n));
+/// Reads one whole response — payload lines through the `ok`/`err ...`
+/// terminator line — off `fd`. Bytes past it stay in `*carry`.
+Result<std::string> ReadResponse(int fd, std::string* carry) {
+  std::string raw;
+  while (true) {
+    size_t nl;
+    while ((nl = carry->find('\n')) != std::string::npos) {
+      std::string line = carry->substr(0, nl);
+      raw.append(*carry, 0, nl + 1);
+      carry->erase(0, nl + 1);
+      if (line == "ok" || line.rfind("err ", 0) == 0) return raw;
     }
+    char buf[4096];
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n == 0) {
+      return Status::Internal("server closed the connection mid-response");
+    }
+    if (n < 0) {
+      return Status::Internal(std::string("recv failed: ") +
+                              std::strerror(errno));
+    }
+    carry->append(buf, static_cast<size_t>(n));
   }
-
- private:
-  int fd_;
-  std::string carry_;
-};
+}
 
 bool SendAll(int fd, const std::string& data) {
   size_t sent = 0;
@@ -316,10 +229,6 @@ bool SendAll(int fd, const std::string& data) {
     sent += static_cast<size_t>(n);
   }
   return true;
-}
-
-bool IsTerminator(const std::string& line) {
-  return line == "ok" || line.rfind("err ", 0) == 0;
 }
 
 }  // namespace
@@ -348,7 +257,7 @@ Result<TcpReplayResult> ReplayAndCheckOverTcp(
   }
 
   MirrorChecker checker(options.mirror);
-  LineReader reader(fd);
+  std::string carry;
   TcpReplayResult result;
   int answers_seen = 0;
   Status transport = Status::OK();
@@ -359,27 +268,21 @@ Result<TcpReplayResult> ReplayAndCheckOverTcp(
       break;
     }
     ++result.commands_sent;
-    std::string raw;
-    while (true) {
-      auto next = reader.NextLine();
-      if (!next.ok()) {
-        transport = next.status();
-        break;
-      }
-      raw += *next + "\n";
-      if (IsTerminator(*next)) break;
+    Result<std::string> raw = ReadResponse(fd, &carry);
+    if (!raw.ok()) {
+      transport = raw.status();
+      break;
     }
-    if (!transport.ok()) break;
 
-    bool is_answer = FirstWord(line) == "answer";
+    bool is_answer = Session::ParseCommand(line).word == "answer";
     bool tamper =
         (is_answer && options.tamper_at_answer >= 0 &&
          answers_seen == options.tamper_at_answer) ||
         (!options.tamper_match.empty() && line == options.tamper_match);
     if (is_answer) ++answers_seen;
-    if (tamper) FlipOneAnswer(&raw);
+    if (tamper) FlipOneAnswer(&*raw);
 
-    result.divergence = checker.Check(line, raw);
+    result.divergence = checker.Check(line, *raw);
     if (result.divergence.has_value()) break;
     if (line == "quit" || line == "exit") break;
   }

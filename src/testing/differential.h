@@ -1,12 +1,16 @@
 /// \file
-/// Differential checking harness over the frontend command protocol: the
+/// Umbrella header of the `testing` module: test-support code that the
+/// server library (`aqv_frontend`) does not ship. It holds the
+/// differential checking harness over the frontend command protocol: the
 /// cross-checking half of the soak/fuzz driver (tools/soak.cc) and of the
 /// differential tests. A MirrorChecker replays every command a server
 /// connection executed onto an in-process *mirror* Session — same command
 /// stream, but inline (no service) and with a fresh single-shard
 /// containment oracle — and demands byte-identical wire responses, which
 /// exercises the service-vs-inline and shard-count-invariance contracts
-/// end to end. On top of the byte compare, every successful `answer`
+/// end to end. Which commands the mirror executes and which it
+/// byte-compares is the `mirror` column of the session's command table
+/// (Session::Commands). On top of the byte compare, every successful `answer`
 /// response is semantically cross-checked against ground truth computed
 /// on the mirror's own state via the direct route: `(exact)` responses
 /// must equal the direct relation, `(certain)` responses must be a subset
@@ -19,8 +23,8 @@
 /// ddmin-style script shrinker that reduces a diverging script to a
 /// small standalone repro.
 
-#ifndef AQV_FRONTEND_DIFFERENTIAL_H_
-#define AQV_FRONTEND_DIFFERENTIAL_H_
+#ifndef AQV_TESTING_DIFFERENTIAL_H_
+#define AQV_TESTING_DIFFERENTIAL_H_
 
 #include <cstdint>
 #include <functional>
@@ -72,11 +76,6 @@ struct ParsedAnswerPayload {
 /// not match the transcript grammar.
 [[nodiscard]] Result<ParsedAnswerPayload> ParseAnswerPayload(const std::string& payload);
 
-/// The server's wire rendering of one command result: payload + '\n'
-/// (when non-empty), then `ok` or `err <Code>: <message>` — must match
-/// frontend/server.cc's RespondTo byte for byte.
-std::string RenderWireResponse(const CommandResult& result);
-
 /// `text` split at '\n' (a trailing final newline yields no empty line).
 std::vector<std::string> SplitScriptLines(const std::string& text);
 
@@ -92,14 +91,12 @@ class MirrorChecker {
   /// regardless of what they are set to.
   explicit MirrorChecker(SessionOptions options = {});
 
-  /// True when `command` participates in checking: excludes blank lines
-  /// and comments (nothing to say), `show stats` and its `STATS` wire
-  /// alias (timings are nondeterministic), `load` (filesystem), and
-  /// `auth` (answered at the server boundary; no mirror analogue).
-  /// Non-checkable commands are still executed on the mirror so state
-  /// stays in lock-step (`auth` and save/open are additionally not
-  /// executed there — see Check).
-  static bool IsCheckable(std::string_view command);
+  /// How Check treats `command`: its command-table row's `mirror`
+  /// column. Blank and comment lines run (a no-op) with nothing to
+  /// compare; unknown words are compared (both sides must reject them
+  /// alike); `auth` is skipped — the server answers it at the boundary,
+  /// before any session sees it.
+  static Session::MirrorMode ModeOf(std::string_view command);
 
   /// Executes `command` on the mirror and compares `raw_response` — the
   /// exact bytes the server sent back, payload lines plus the
@@ -178,4 +175,4 @@ std::vector<std::string> ShrinkScript(
 
 }  // namespace aqv
 
-#endif  // AQV_FRONTEND_DIFFERENTIAL_H_
+#endif  // AQV_TESTING_DIFFERENTIAL_H_

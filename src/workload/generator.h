@@ -9,7 +9,7 @@
 /// Zipf-skewed hidden base data. Every generated scenario is a plain
 /// workload::Scenario, so the whole existing stack (engines, answering
 /// routes, frontend replay, the service) consumes it unchanged; the
-/// differential soak harness (frontend/differential.h, tools/soak.cc)
+/// differential soak harness (testing/differential.h, tools/soak.cc)
 /// is its primary customer. Invariant: generation is a pure function of
 /// the spec — same spec, byte-identical scenario and script.
 

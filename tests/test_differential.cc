@@ -1,5 +1,5 @@
-// Tests of the differential checking harness (frontend/differential.h):
-// the answer-payload parser, the wire renderer, the mirror checker's
+// Tests of the differential checking harness (testing/differential.h):
+// the answer-payload parser, the mirror checker's command treatment,
 // byte-compare and semantic cross-checks, the response tamperer, the
 // ddmin script shrinker, and the end-to-end TCP replay loop against a
 // live FrontendServer — including the harness self-test, where an
@@ -10,11 +10,11 @@
 #include <string>
 #include <vector>
 
-#include "frontend/differential.h"
 #include "frontend/replay.h"
 #include "frontend/server.h"
 #include "frontend/session.h"
 #include "gtest/gtest.h"
+#include "testing/differential.h"
 #include "workload/generator.h"
 
 namespace aqv {
@@ -67,27 +67,26 @@ TEST(ParseAnswerPayloadTest, RejectsMalformedPayloads) {
       ParseAnswerPayload("route direct: 1 answer (exact)\nnot a row").ok());
 }
 
-TEST(DifferentialTest, RenderWireResponseMatchesProtocol) {
-  CommandResult ok_result;
-  ok_result.output = "added view v";
-  EXPECT_EQ(RenderWireResponse(ok_result), "added view v\nok\n");
-  CommandResult empty;
-  EXPECT_EQ(RenderWireResponse(empty), "ok\n");
-  CommandResult err;
-  err.status = Status::InvalidArgument("nope");
-  EXPECT_EQ(RenderWireResponse(err), "err InvalidArgument: nope\n");
-}
-
 TEST(DifferentialTest, IsCheckableExcludesNonDeterministicCommands) {
-  EXPECT_FALSE(MirrorChecker::IsCheckable(""));
-  EXPECT_FALSE(MirrorChecker::IsCheckable("% comment"));
-  EXPECT_FALSE(MirrorChecker::IsCheckable("# comment"));
-  EXPECT_FALSE(MirrorChecker::IsCheckable("show stats"));
-  EXPECT_FALSE(MirrorChecker::IsCheckable("STATS"));
-  EXPECT_FALSE(MirrorChecker::IsCheckable("load x.aqv"));
-  EXPECT_TRUE(MirrorChecker::IsCheckable("show views"));
-  EXPECT_TRUE(MirrorChecker::IsCheckable("answer route direct"));
-  EXPECT_TRUE(MirrorChecker::IsCheckable("quit"));
+  auto checked = [](const char* command) {
+    return MirrorChecker::ModeOf(command) == Session::MirrorMode::kCompare;
+  };
+  EXPECT_FALSE(checked(""));
+  EXPECT_FALSE(checked("% comment"));
+  EXPECT_FALSE(checked("# comment"));
+  EXPECT_FALSE(checked("show stats"));
+  EXPECT_FALSE(checked("STATS"));
+  EXPECT_FALSE(checked("load x.aqv"));
+  EXPECT_TRUE(checked("show views"));
+  EXPECT_TRUE(checked("answer route direct"));
+  EXPECT_TRUE(checked("quit"));
+  // Every verdict comes from the command table; only `auth`, which the
+  // server answers before any session sees it, has no row.
+  for (const Session::Command& row : Session::Commands()) {
+    EXPECT_EQ(MirrorChecker::ModeOf(row.word), row.mirror) << row.word;
+  }
+  EXPECT_EQ(MirrorChecker::ModeOf("auth alice s3cret"),
+            Session::MirrorMode::kSkip);
 }
 
 /// Feeds the checker the honest wire rendering of a second, identical

@@ -54,10 +54,30 @@ TEST(SessionTest, HelpListsEveryCommand) {
   Session session;
   CommandResult r = session.Execute("help");
   ASSERT_TRUE(r.ok());
-  for (const char* cmd : {"view", "query", "fact", "load", "show",
-                          "rewrite", "answer", "explain", "reset", "quit"}) {
-    EXPECT_NE(r.output.find(cmd), std::string::npos) << cmd;
-  }
+  EXPECT_EQ(r.output,
+            "commands:\n"
+            "  view <rule(s)>    add view definition(s), e.g. view v(X) :- "
+            "e(X, Y).\n"
+            "  query <rule(s)>   set the query (several rules = a union "
+            "query)\n"
+            "  fact <atom>.      add a ground fact, e.g. fact e(1, 2).\n"
+            "  load <path>       run a script of commands from a file\n"
+            "  show views|facts|engines|stats\n"
+            "  rewrite [with <engine>]\n"
+            "  answer [route <route>] [with <engine>]\n"
+            "  explain           cost-rank every equivalent plan\n"
+            "  save <dir>        snapshot the session into a database "
+            "directory\n"
+            "  open <dir>        load a database directory (snapshot + "
+            "journal)\n"
+            "  reset             drop views, facts, and the query (detaches "
+            "the store)\n"
+            "  help              this text\n"
+            "  quit              end the session\n"
+            "engines: lmss, bucket, minicon, ucq\n"
+            "routes: direct, complete, inverse-rules, cost");
+  // Trailing words are ignored.
+  EXPECT_EQ(session.Execute("help me").output, r.output);
 }
 
 TEST(SessionTest, QuitAndExitEndTheSession) {
@@ -417,6 +437,40 @@ TEST(SessionTest, ShowStatsSurfacesOracle) {
   ASSERT_TRUE(r.ok());
   EXPECT_NE(r.output.find("oracle: hits="), std::string::npos);
   EXPECT_GT(oracle.stats().lookups(), 0u);
+}
+
+TEST(SessionTest, StatsAliasRendersShowStatsBytes) {
+  ContainmentOracle oracle;
+  RewritePlanCache plan_cache;
+  SessionOptions options;
+  options.engine.oracle = &oracle;
+  options.plan_cache = &plan_cache;
+  Session session(options);
+  LoadToyProblem(session);
+  ASSERT_TRUE(session.Execute("rewrite with lmss").ok());
+  CommandResult show = session.Execute("show stats");
+  CommandResult alias = session.Execute("STATS");
+  ASSERT_TRUE(show.ok());
+  ASSERT_TRUE(alias.ok());
+  // The command counter counts each stats command itself (7, then 8);
+  // every other byte is the same.
+  std::string expected = show.output;
+  size_t counter = expected.find("commands=7 ");
+  ASSERT_NE(counter, std::string::npos) << expected;
+  expected.replace(counter, 10, "commands=8");
+  EXPECT_EQ(alias.output, expected);
+  EXPECT_NE(alias.output.find("plan_cache: hits="), std::string::npos);
+}
+
+TEST(SessionTest, RenderWireResponseMatchesProtocol) {
+  CommandResult ok_result;
+  ok_result.output = "added view v";
+  EXPECT_EQ(RenderWireResponse(ok_result), "added view v\nok\n");
+  CommandResult empty;
+  EXPECT_EQ(RenderWireResponse(empty), "ok\n");
+  CommandResult err;
+  err.status = Status::InvalidArgument("nope");
+  EXPECT_EQ(RenderWireResponse(err), "err InvalidArgument: nope\n");
 }
 
 TEST(SessionTest, TranscriptLinesRendering) {

@@ -88,12 +88,22 @@ class RuleScopingTest(unittest.TestCase):
             findings_for("src/storage/x.cc",
                          '#include "service/service.h"\n'))
 
-    def test_nothing_includes_frontend(self):
+    def test_only_testing_includes_frontend(self):
         for module in ("util", "service", "workload", "storage"):
             self.assertIn(
                 (1, "layering"),
                 findings_for("src/%s/x.cc" % module,
                              '#include "frontend/session.h"\n'))
+        self.assertEqual(
+            findings_for("src/testing/x.cc",
+                         '#include "frontend/session.h"\n'), [])
+
+    def test_nothing_includes_testing(self):
+        for module in ("util", "service", "storage", "frontend"):
+            self.assertIn(
+                (1, "layering"),
+                findings_for("src/%s/x.cc" % module,
+                             '#include "testing/differential.h"\n'))
 
     def test_tests_and_bench_are_exempt_from_layering(self):
         text = '#include "frontend/server.h"\n#include "service/service.h"\n'

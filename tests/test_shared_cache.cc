@@ -25,12 +25,12 @@
 #include "cq/catalog.h"
 #include "cq/parser.h"
 #include "cq/query.h"
-#include "frontend/differential.h"
 #include "frontend/replay.h"
 #include "frontend/server.h"
 #include "frontend/session.h"
 #include "gtest/gtest.h"
 #include "service/plan_cache.h"
+#include "testing/differential.h"
 #include "workload/generator.h"
 
 namespace aqv {

@@ -15,13 +15,13 @@
 #include <thread>
 #include <vector>
 
-#include "frontend/differential.h"
 #include "frontend/replay.h"
 #include "frontend/server.h"
 #include "frontend/session.h"
 #include "gtest/gtest.h"
 #include "storage/fault.h"
 #include "storage/fs.h"
+#include "testing/differential.h"
 #include "workload/generator.h"
 
 namespace aqv {

@@ -7,7 +7,7 @@
 /// script (frontend/replay.h), and replays the scripts over real TCP
 /// connections from N concurrent client threads — every response checked
 /// byte-for-byte and semantically against an in-process mirror
-/// (frontend/differential.h), which makes the soak a live proof that the
+/// (testing/differential.h), which makes the soak a live proof that the
 /// shared caches never perturb a byte. On divergence the script is
 /// ddmin-shrunk against the live server and dumped as a standalone `.aqv`
 /// repro that `aqvsh` can replay. A multi-tenant isolation phase
@@ -36,11 +36,11 @@
 #include <vector>
 
 #include "answering/answering.h"
-#include "frontend/differential.h"
 #include "frontend/replay.h"
 #include "frontend/server.h"
 #include "rewriting/engine.h"
 #include "storage/fs.h"
+#include "testing/differential.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
