@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -35,11 +36,11 @@ int MsUntil(Clock::time_point deadline, Clock::time_point now) {
 }  // namespace
 
 /// Per-connection state, owned and touched exclusively by the event-loop
-/// thread. The session is the one exception: the in-flight command task
-/// reads and writes it on a pool worker — but at most one task per
-/// connection is ever in flight (`executing`), and the hand-offs in both
-/// directions go through locked queues, so the session is still accessed
-/// by one thread at a time with proper happens-before edges.
+/// thread. The session is the one exception: the in-flight task reads and
+/// writes it on a pool worker — but at most one task per connection is
+/// ever in flight (`executing`), and the hand-offs in both directions go
+/// through locked queues, so the session is still accessed by one thread
+/// at a time with proper happens-before edges.
 struct FrontendServer::Conn {
   int fd = -1;
   uint64_t id = 0;
@@ -49,8 +50,9 @@ struct FrontendServer::Conn {
   std::string out;
   /// Parsed command lines waiting for their turn on the pool.
   std::deque<std::string> lines;
-  /// True while a command task for this connection is on the pool.
-  bool executing = false;
+  /// The number of lines the connection's task on the pool carries; 0
+  /// while none is in flight.
+  size_t executing = 0;
   /// True once the connection should close as soon as queued lines,
   /// the in-flight task, and the write buffer have drained.
   bool closing = false;
@@ -74,6 +76,10 @@ struct FrontendServer::Conn {
   /// The connection-private oracle of `share_cache = false` mode.
   std::unique_ptr<ContainmentOracle> own_oracle;
   std::unique_ptr<Session> session;
+
+  /// Lines queued or in flight: what `max_pipelined` bounds. A run's
+  /// lines count until its completion lands.
+  size_t pipelined() const { return lines.size() + executing; }
 };
 
 FrontendServer::FrontendServer(ServerOptions options)
@@ -256,7 +262,7 @@ void FrontendServer::EventLoop() {
       Clock::time_point next = now + std::chrono::hours(1);
       for (const auto& entry : conns_) {
         const Conn& conn = *entry.second;
-        if (conn.dead || conn.executing) continue;
+        if (conn.dead || conn.executing > 0) continue;
         Clock::time_point expiry =
             conn.last_activity +
             std::chrono::milliseconds(options_.idle_timeout_ms);
@@ -321,7 +327,7 @@ void FrontendServer::EventLoop() {
       std::vector<uint64_t> expired;
       for (const auto& entry : conns_) {
         const Conn& conn = *entry.second;
-        if (conn.dead || conn.executing) continue;
+        if (conn.dead || conn.executing > 0) continue;
         if (now - conn.last_activity >=
             std::chrono::milliseconds(options_.idle_timeout_ms)) {
           expired.push_back(entry.first);
@@ -351,6 +357,10 @@ void FrontendServer::AcceptReady() {
       ::close(fd);
       continue;
     }
+    // Every send carries whole responses, so Nagle could only hold one
+    // back until the client's delayed ACK.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
     conn->id = next_conn_id_++;
@@ -404,8 +414,7 @@ void FrontendServer::ParseLines(Conn& conn) {
 
 void FrontendServer::ReadReady(Conn& conn) {
   char buf[4096];
-  while (!conn.read_shut &&
-         conn.lines.size() < options_.max_pipelined) {
+  while (!conn.read_shut && conn.pipelined() < options_.max_pipelined) {
     ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
     if (n > 0) {
       conn.last_activity = Clock::now();
@@ -431,7 +440,7 @@ void FrontendServer::ReadReady(Conn& conn) {
 }
 
 void FrontendServer::Pump(Conn& conn) {
-  while (!conn.executing && !conn.dead && !conn.lines.empty()) {
+  while (conn.executing == 0 && !conn.dead && !conn.lines.empty()) {
     std::string line = std::move(conn.lines.front());
     conn.lines.pop_front();
     std::string gated = Gate(conn, line);
@@ -440,29 +449,50 @@ void FrontendServer::Pump(Conn& conn) {
       if (conn.closing) return;  // gated quit
       continue;
     }
+    // One task per run: a definition or no-op takes along every
+    // definition and no-op queued behind it that the gate lets through
+    // (the gate changes no state for them), so a pipelined problem load
+    // pays one pool round trip, not one per line. Any other line runs
+    // alone.
+    bool batchable = Session::ParseCommand(line).IsDefinitionOrNoop();
+    std::vector<std::string> run;
+    run.push_back(std::move(line));
+    while (batchable && !conn.lines.empty() &&
+           Session::ParseCommand(conn.lines.front()).IsDefinitionOrNoop() &&
+           Gate(conn, conn.lines.front()).empty()) {
+      run.push_back(std::move(conn.lines.front()));
+      conn.lines.pop_front();
+    }
     Session* session = conn.session.get();
     uint64_t id = conn.id;
-    conn.executing = true;
-    Status submitted =
-        service_->SubmitTask([this, session, id, line = std::move(line)] {
-          CommandResult result = session->Execute(line);
-          std::string response = RenderWireResponse(result);
+    size_t count = run.size();
+    conn.executing = count;
+    Status submitted = service_->SubmitTask(
+        [this, session, id, run = std::move(run)] {
+          Completion done{id, "", false};
+          for (const std::string& command : run) {
+            CommandResult result = session->Execute(command);
+            done.response += RenderWireResponse(result);
+            done.quit = result.quit;
+          }
           {
             std::lock_guard<std::mutex> lock(comp_mu_);
-            completions_.push_back(
-                Completion{id, std::move(response), result.quit});
+            completions_.push_back(std::move(done));
           }
           uint64_t tick = 1;
           [[maybe_unused]] ssize_t w =
               ::write(event_fd_, &tick, sizeof(tick));
-        });
+        },
+        count);
     if (!submitted.ok()) {
-      // Only possible during service shutdown; answer at the boundary.
-      conn.executing = false;
-      QueueWrite(conn, "err " + submitted.ToString() + "\n");
+      // Only possible during service shutdown; answer every line of the
+      // run at the boundary.
+      conn.executing = 0;
+      std::string refusal = "err " + submitted.ToString() + "\n";
+      for (size_t i = 0; i < count; ++i) QueueWrite(conn, refusal);
       continue;
     }
-    return;  // strictly one in-flight command per connection
+    return;  // strictly one in-flight task per connection
   }
 }
 
@@ -476,7 +506,7 @@ void FrontendServer::DrainCompletions() {
     auto it = conns_.find(done.conn_id);
     if (it == conns_.end()) continue;
     Conn& conn = *it->second;
-    conn.executing = false;
+    conn.executing = 0;
     if (conn.dead) {
       // Force-closed while the task ran; now safe to destroy.
       conns_.erase(it);
@@ -528,7 +558,7 @@ void FrontendServer::WriteReady(Conn& conn) {
 
 void FrontendServer::Settle(Conn& conn) {
   if (conn.dead) return;
-  if (!conn.executing && conn.lines.empty()) {
+  if (conn.pipelined() == 0) {
     if (!conn.kill_error.empty()) {
       std::string verdict = std::move(conn.kill_error);
       conn.kill_error.clear();
@@ -537,8 +567,7 @@ void FrontendServer::Settle(Conn& conn) {
     }
     if (conn.read_eof) conn.closing = true;
   }
-  if (conn.closing && !conn.executing && conn.lines.empty() &&
-      conn.out.empty()) {
+  if (conn.closing && conn.pipelined() == 0 && conn.out.empty()) {
     CloseConn(conn);
     return;
   }
@@ -548,7 +577,7 @@ void FrontendServer::Settle(Conn& conn) {
 void FrontendServer::UpdateInterest(Conn& conn) {
   if (conn.fd < 0 || conn.dead) return;
   uint32_t want = 0;
-  if (!conn.read_shut && conn.lines.size() < options_.max_pipelined) {
+  if (!conn.read_shut && conn.pipelined() < options_.max_pipelined) {
     want |= EPOLLIN;
   }
   if (!conn.out.empty()) want |= EPOLLOUT;
@@ -566,7 +595,7 @@ void FrontendServer::CloseConn(Conn& conn) {
     ::close(conn.fd);
     conn.fd = -1;
   }
-  if (conn.executing) {
+  if (conn.executing > 0) {
     // The in-flight task references conn's session; linger until its
     // completion arrives (DrainCompletions destroys dead connections).
     conn.dead = true;

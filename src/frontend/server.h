@@ -2,11 +2,17 @@
 /// The TCP line-protocol transport of the frontend: a FrontendServer
 /// multiplexes every client connection onto one epoll event loop
 /// (non-blocking sockets, per-connection read/write buffers) and executes
-/// each parsed command as one task on the shared RewriteService
-/// worker pool (service/service.h) — so connection count is no longer
-/// bounded by thread count, and N clients share one pool while their
-/// problem state stays fully isolated per connection. All connections
-/// share two server-lifetime caches: one sharded ContainmentOracle and one
+/// parsed commands as tasks on the shared RewriteService worker pool
+/// (service/service.h) — so connection count is no longer bounded by
+/// thread count, and N clients share one pool while their problem state
+/// stays fully isolated per connection. A task is one *run*: the longest
+/// prefix of a connection's queued lines made of definitions (`view`,
+/// `query`, `fact`) and no-ops (blank, comment) that the auth gate lets
+/// through, executed in order with every response sent in one write —
+/// so a pipelined problem load pays one pool round trip, not one per
+/// line. Every other line is a task of its own, and the service counts
+/// every line of a run as one command. All connections share two
+/// server-lifetime caches: one sharded ContainmentOracle and one
 /// RewritePlanCache (service/plan_cache.h). This is sound because oracle
 /// entries are keyed by catalog-independent canonical encodings
 /// (containment/oracle.h) and plan-cache keys embed the complete rendered
@@ -86,9 +92,10 @@ struct ServerOptions {
   int max_connections = 64;
   /// Longest accepted command line; a longer one kills its connection.
   size_t max_line_bytes = 64 * 1024;
-  /// Parsed-but-unexecuted command lines a connection may pipeline before
-  /// the server stops reading from it (backpressure, not an error; reads
-  /// resume as the queue drains).
+  /// Parsed command lines a connection may have queued or in flight (a
+  /// run's lines count until its completion lands) before the server
+  /// stops reading from it (backpressure, not an error; reads resume as
+  /// the queue drains).
   size_t max_pipelined = 1024;
   /// Connections idle (no bytes read, no response written) longer than
   /// this are closed by the event loop's timeout sweep. 0 disables.
@@ -97,10 +104,11 @@ struct ServerOptions {
   /// force-closing write-blocked connections (in-flight commands still
   /// always run to completion).
   int drain_timeout_ms = 2'000;
-  /// The backing RewriteService (worker pool). Each command runs inline
-  /// as one task on it. With `share_cache`, the service's own oracle is
-  /// the server-lifetime shared oracle; its `oracle_shards` and
-  /// `oracle_max_entries` also size the per-connection oracles otherwise.
+  /// The backing RewriteService (worker pool). Each run of definitions,
+  /// and each other command, executes inline as one task on it. With
+  /// `share_cache`, the service's own oracle is the server-lifetime
+  /// shared oracle; its `oracle_shards` and `oracle_max_entries` also
+  /// size the per-connection oracles otherwise.
   ServiceOptions service;
   /// Template for per-connection sessions; `service` (the `show stats`
   /// source), `enable_load`, `engine.oracle`, and `plan_cache` are
@@ -121,7 +129,7 @@ struct ServerOptions {
 /// Sessions, one shared RewriteService pool, and server-lifetime rewriting
 /// caches. Thread model: one event-loop thread owns every socket and all
 /// connection state; command execution happens on the service's workers
-/// (at most one in-flight command per connection, so each Session is
+/// (at most one in-flight task per connection, so each Session is
 /// touched by one thread at a time); completions return to the loop
 /// through an eventfd. Start/Stop may be called from any thread, once
 /// each (Stop is also run by the destructor).
@@ -155,8 +163,9 @@ class FrontendServer {
 
  private:
   struct Conn;
-  /// One finished command: the rendered wire response of `conn_id`'s
-  /// in-flight task, handed from a worker back to the event loop.
+  /// One finished task: the rendered wire responses of every line
+  /// `conn_id`'s in-flight task carried, in order, handed from a worker
+  /// back to the event loop.
   struct Completion {
     uint64_t conn_id = 0;
     std::string response;
@@ -170,8 +179,10 @@ class FrontendServer {
   /// Splits `conn`'s read carry into lines (enforcing the line cap) and
   /// queues them for execution.
   void ParseLines(Conn& conn);
-  /// Starts the next queued line if none is in flight: auth and gating
-  /// answered inline, everything else dispatched to the pool.
+  /// Starts the next task if none is in flight. Auth and gate refusals
+  /// are answered inline. A definition or no-op goes to the pool with the
+  /// run of definitions and no-ops queued behind it that the gate lets
+  /// through; any other line goes alone.
   void Pump(Conn& conn);
   /// Applies completions delivered through the eventfd.
   void DrainCompletions();

@@ -163,6 +163,13 @@ class Session {
     /// The table row the line selects; nullptr for no-ops and unknown
     /// words.
     const Command* command = nullptr;
+
+    /// True for a no-op or a definition (a row the table journals:
+    /// `view`, `query`, `fact`) — the lines a problem load is made of.
+    /// The TCP server runs a pipelined run of them as one task.
+    bool IsDefinitionOrNoop() const {
+      return word.empty() || (command != nullptr && command->journaled);
+    }
   };
   static CommandLine ParseCommand(std::string_view line);
 

@@ -54,12 +54,13 @@ RewriteService::~RewriteService() {
   for (std::thread& t : workers_) t.join();
 }
 
-Status RewriteService::SubmitTask(std::function<void()> task) {
+Status RewriteService::SubmitTask(std::function<void()> task,
+                                  uint64_t commands) {
   // Counted before the body: the body is the task's delivery, so anything
   // sequenced after it — like a later pipelined command rendering
-  // lifetime_stats() — must already see this task counted.
-  bool accepted = queue_.Push([this, task = std::move(task)] {
-    Count(true);
+  // lifetime_stats() — must already see this task's commands counted.
+  bool accepted = queue_.Push([this, task = std::move(task), commands] {
+    Count(true, commands);
     task();
   });
   return accepted ? Status::OK() : ShuttingDown();

@@ -8,10 +8,11 @@
 /// containment memoization.
 ///
 /// SubmitTask is the one public way to put work on the pool: an opaque
-/// task that delivers its own result (the frontend server runs whole
-/// parsed commands as tasks, pushing completions to its event loop). The
-/// blocking batch helpers queue one task per item on the same pool:
-/// RewriteBatch runs RewriteRequests through the unified engine layer
+/// task that delivers its own result (the frontend server runs each
+/// parsed command, or each pipelined run of definitions, as one task,
+/// pushing completions to its event loop). The blocking batch helpers
+/// queue one task per item on the same pool: RewriteBatch runs
+/// RewriteRequests through the unified engine layer
 /// (rewriting/engine.h), AnswerBatch runs AnswerRequests through the
 /// end-to-end answering pipeline (answering/answering.h); both wire the
 /// shared oracle, count each item ok or failed by its status, block for
@@ -149,11 +150,14 @@ class RewriteService {
   [[nodiscard]] Result<AnswerBatchResult> AnswerBatch(const std::vector<AnswerRequest>& batch);
 
   /// Runs `task` on a pool worker. There is no collection API — the task
-  /// delivers its own result. A task counts in lifetime_stats as one ok
-  /// request, and the count lands before its body runs, so anything the
-  /// body sequences after itself already sees it. The only failure is
-  /// submission during shutdown; accepted tasks always run.
-  [[nodiscard]] Status SubmitTask(std::function<void()> task);
+  /// delivers its own result. A task counts in lifetime_stats as
+  /// `commands` ok requests (one per command it carries, so the count
+  /// does not depend on how commands are grouped into tasks), and the
+  /// count lands before its body runs, so anything the body sequences
+  /// after itself already sees it. The only failure is submission during
+  /// shutdown; accepted tasks always run.
+  [[nodiscard]] Status SubmitTask(std::function<void()> task,
+                                  uint64_t commands = 1);
 
   /// Totals since construction (percentiles zero; see ServiceStats).
   ServiceStats lifetime_stats() const;
@@ -170,13 +174,13 @@ class RewriteService {
   template <typename Out, typename Request, typename Run>
   [[nodiscard]] Result<Out> RunBatch(const std::vector<Request>& batch, Run run);
 
-  /// Bumps the lifetime completion counters; always called before the
-  /// counted work's result is delivered.
-  void Count(bool ok) {
+  /// Bumps the lifetime completion counters by `n`; always called before
+  /// the counted work's result is delivered.
+  void Count(bool ok, uint64_t n = 1) {
     if (ok) {
-      completed_ok_.fetch_add(1, std::memory_order_relaxed);
+      completed_ok_.fetch_add(n, std::memory_order_relaxed);
     } else {
-      completed_failed_.fetch_add(1, std::memory_order_relaxed);
+      completed_failed_.fetch_add(n, std::memory_order_relaxed);
     }
   }
 

@@ -261,17 +261,12 @@ Result<TcpReplayResult> ReplayAndCheckOverTcp(
   TcpReplayResult result;
   int answers_seen = 0;
   Status transport = Status::OK();
-  for (const std::string& line : lines) {
-    if (!SendAll(fd, line + "\n")) {
-      transport = Status::Internal("send failed: " +
-                                   std::string(std::strerror(errno)));
-      break;
-    }
-    ++result.commands_sent;
+  // Reads and checks the response to `line`; false once the replay stops.
+  auto check_next = [&](const std::string& line) {
     Result<std::string> raw = ReadResponse(fd, &carry);
     if (!raw.ok()) {
       transport = raw.status();
-      break;
+      return false;
     }
 
     bool is_answer = Session::ParseCommand(line).word == "answer";
@@ -283,8 +278,31 @@ Result<TcpReplayResult> ReplayAndCheckOverTcp(
     if (tamper) FlipOneAnswer(&*raw);
 
     result.divergence = checker.Check(line, *raw);
-    if (result.divergence.has_value()) break;
-    if (line == "quit" || line == "exit") break;
+    return !result.divergence.has_value() && line != "quit" &&
+           line != "exit";
+  };
+  auto batchable = [&lines](size_t i) {
+    return Session::ParseCommand(lines[i]).IsDefinitionOrNoop();
+  };
+  size_t next = 0;
+  bool going = true;
+  while (going && next < lines.size()) {
+    // A run of definitions and no-ops goes out in one write, the way a
+    // client sends a problem load (the server runs it as one task); any
+    // other line goes alone. Responses are checked one at a time, in order.
+    size_t end = next + 1;
+    if (batchable(next)) {
+      while (end < lines.size() && batchable(end)) ++end;
+    }
+    std::string request;
+    for (size_t i = next; i < end; ++i) request += lines[i] + "\n";
+    if (!SendAll(fd, request)) {
+      transport = Status::Internal("send failed: " +
+                                   std::string(std::strerror(errno)));
+      break;
+    }
+    result.commands_sent += static_cast<int>(end - next);
+    while (going && next < end) going = check_next(lines[next++]);
   }
   result.answers_checked = checker.answers_checked();
   result.rewrites_checked = checker.rewrites_checked();

@@ -17,11 +17,11 @@
 /// of it (answering/answering.h route semantics).
 ///
 /// The file also carries the fuzzing utilities around the checker: a
-/// TCP replay loop that drives a live FrontendServer in lock-step with a
-/// mirror, a response tamperer for harness self-tests (a checker that
-/// cannot catch an injected fault is worse than none), and a greedy
-/// ddmin-style script shrinker that reduces a diverging script to a
-/// small standalone repro.
+/// TCP replay loop that drives a live FrontendServer alongside a mirror
+/// (problem loads pipelined, everything else lock-step), a response
+/// tamperer for harness self-tests (a checker that cannot catch an
+/// injected fault is worse than none), and a greedy ddmin-style script
+/// shrinker that reduces a diverging script to a small standalone repro.
 
 #ifndef AQV_TESTING_DIFFERENTIAL_H_
 #define AQV_TESTING_DIFFERENTIAL_H_
@@ -154,9 +154,14 @@ struct TcpReplayResult {
 };
 
 /// \brief Replays `lines` over a real TCP connection to a FrontendServer
-/// on 127.0.0.1:`port` in lock-step — send one command, read its full
-/// response (payload + terminator), check it against the mirror — and
-/// stops at the first divergence or after a `quit`. Transport failures
+/// on 127.0.0.1:`port` and checks every response against the mirror,
+/// stopping at the first divergence or after a `quit`. Each run of
+/// consecutive definitions and no-ops
+/// (Session::CommandLine::IsDefinitionOrNoop) goes out in one write, as
+/// a client sends a problem load, so the server's one-task-per-run path
+/// is exercised; every other line is lock-step — send it, read its full
+/// response (payload + terminator), check it. Responses are read and
+/// checked one at a time, in order. Transport failures
 /// (connect/send/recv/timeouts) are errors, not divergences.
 [[nodiscard]] Result<TcpReplayResult> ReplayAndCheckOverTcp(int port,
                                               const std::vector<std::string>& lines,

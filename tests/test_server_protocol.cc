@@ -1,9 +1,11 @@
 // Adversarial protocol tests of the epoll frontend server
 // (frontend/server.h): hostile wire shapes — whole scripts pipelined into
 // one write, byte-at-a-time slow-loris sends, partial lines abandoned by
-// disconnects, RST aborts mid-response — plus the operational edges:
-// connection-cap refusal and recovery, idle-timeout sweeps, STATS under
-// concurrent load, pipelined `quit` cutting off later commands, the
+// disconnects, RST aborts mid-response, problem loads whose pipelined
+// runs of definitions split across reads, backpressure, errors and the
+// auth gate, probes pipelined past TCP quick-ack — plus the operational
+// edges: connection-cap refusal and recovery, idle-timeout sweeps, STATS
+// under concurrent load, pipelined `quit` cutting off later commands, the
 // auth/permission gate (handshake ordering, bad credentials, read-only
 // refusal, tenant isolation), and the Stop()-mid-write drain contract.
 // Wherever responses are deterministic they are byte-compared against an
@@ -16,6 +18,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -155,6 +158,71 @@ TEST(ServerProtocolTest, PipelinedScriptInOneWriteMatchesGroundTruth) {
   std::string received = RecvUntilEof(fd);  // quit closes: read to EOF
   ::close(fd);
   EXPECT_EQ(received, expected);
+  server.Stop();
+}
+
+TEST(ServerProtocolTest, PipelinedLoadSplitIntoRunsMatchesGroundTruth) {
+  // A problem load of 2,000 facts in one write. The server runs each
+  // pipelined run of definitions and no-ops as one task, so runs end
+  // wherever a read or the 64-line backpressure bound cuts the queue and
+  // at the unknown word; the malformed view fails inside a run. None of
+  // that may show on the wire.
+  ServerOptions options;
+  options.max_pipelined = 64;
+  FrontendServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<std::string> script = {"view v(X, Y) :- e(X, Y).",
+                                     "query q(X) :- e(X, Y), e(Y, X)."};
+  for (int i = 0; i < 2000; ++i) {
+    if (i == 500) script.push_back("% a comment inside the load");
+    if (i == 700) script.push_back("view broken(");
+    if (i == 1300) script.push_back("bogus word");
+    if (i == 1600) script.push_back("");
+    script.push_back("fact e(" + std::to_string(i) + ", " +
+                     std::to_string(i % 97) + ").");
+  }
+  for (const char* probe :
+       {"show views", "answer route direct", "rewrite", "quit"}) {
+    script.push_back(probe);
+  }
+  std::string expected = GroundTruth(script);
+  int fd = ConnectTo(server.port());
+  std::string request;
+  for (const std::string& c : script) request += c + "\n";
+  SendAll(fd, request);
+  std::string received = RecvUntilEof(fd);
+  ::close(fd);
+  EXPECT_EQ(CountTerminators(received), script.size());
+  EXPECT_EQ(received, expected);
+  server.Stop();
+}
+
+TEST(ServerProtocolTest, PipelinedProbesDoNotWaitForDelayedAck) {
+  FrontendServer server;
+  ASSERT_TRUE(server.Start().ok());
+  int fd = ConnectTo(server.port());
+  // Lock-step round trips take the connection out of TCP quick-ack mode:
+  // from here on the client delays its ACKs.
+  for (int i = 0; i < 50; ++i) {
+    SendAll(fd, "show views\n");
+    ASSERT_EQ(RecvResponses(fd, 1), "(none)\nok\n") << "round trip " << i;
+  }
+  // Two probes in one write are two tasks, answered by two sends. Under
+  // Nagle the second send would wait for the ACK of the first, which the
+  // client delays by tens of milliseconds.
+  double fastest_ms = 1e9;
+  for (int i = 0; i < 5; ++i) {
+    auto t0 = std::chrono::steady_clock::now();
+    SendAll(fd, "show views\nshow views\n");
+    ASSERT_EQ(RecvResponses(fd, 2), "(none)\nok\n(none)\nok\n") << "pair " << i;
+    std::chrono::duration<double, std::milli> took =
+        std::chrono::steady_clock::now() - t0;
+    fastest_ms = std::min(fastest_ms, took.count());
+  }
+  EXPECT_LT(fastest_ms, 20.0);
+  SendAll(fd, "quit\n");
+  EXPECT_EQ(RecvUntilEof(fd), "ok\n");
+  ::close(fd);
   server.Stop();
 }
 
@@ -413,6 +481,43 @@ TEST(ServerProtocolTest, CommentsAndBlanksPassTheGateUnauthenticated) {
   // (which answers a bare `ok`) instead of being refused Unauthenticated.
   SendAll(fd, "% a comment\n\nauth bob hunter2\nquit\n");
   EXPECT_EQ(RecvUntilEof(fd), "ok\nok\nauthenticated as bob\nok\nok\n");
+  ::close(fd);
+  server.Stop();
+}
+
+TEST(ServerProtocolTest, GateRefusalEndsARunOfDefinitions) {
+  FrontendServer server(TwoTenantOptions());
+  ASSERT_TRUE(server.Start().ok());
+  int fd = ConnectTo(server.port());
+  // One write: the gate refuses the first view (no auth yet), `auth`
+  // is answered at the boundary, and the view and fact behind it run.
+  SendAll(fd,
+          "view v(X) :- e(X).\nauth alice s3cret\nview w(X) :- e(X).\n"
+          "fact e(1).\nquit\n");
+  EXPECT_EQ(RecvUntilEof(fd),
+            "err Unauthenticated: authenticate first (auth <user> <token>)\n"
+            "authenticated as alice\nok\n"
+            "added view w\nok\n"
+            "ok (1 fact total)\nok\n"
+            "ok\n");
+  ::close(fd);
+  server.Stop();
+}
+
+TEST(ServerProtocolTest, ReadOnlyRefusalEndsARunOfDefinitions) {
+  ServerOptions options;
+  options.accounts = {{"auditor", "tok", false}};
+  FrontendServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  int fd = ConnectTo(server.port());
+  SendAll(fd, "auth auditor tok\n");
+  EXPECT_EQ(RecvResponses(fd, 1), "authenticated as auditor (read-only)\nok\n");
+  // The comment runs; the view behind it is refused, not run with it.
+  SendAll(fd, "% c\nview v(X) :- e(X).\nshow views\n");
+  EXPECT_EQ(RecvResponses(fd, 3),
+            "ok\n"
+            "err PermissionDenied: user 'auditor' is read-only\n"
+            "(none)\nok\n");
   ::close(fd);
   server.Stop();
 }

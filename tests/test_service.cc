@@ -389,6 +389,16 @@ TEST(RewriteServiceTest, TaskBodySeesItselfCounted) {
     }).ok());
     EXPECT_EQ(requests.get(), expected);
   }
+  // A task carrying several commands (the server's pipelined run of
+  // definitions) counts each of them, all before its body runs.
+  uint64_t before = service.lifetime_stats().requests;
+  std::promise<uint64_t> seen;
+  std::future<uint64_t> requests = seen.get_future();
+  ASSERT_TRUE(service.SubmitTask([&service, &seen] {
+    seen.set_value(service.lifetime_stats().requests);
+  }, 3).ok());
+  EXPECT_EQ(requests.get(), before + 3);
+  EXPECT_EQ(service.lifetime_stats().ok, before + 3);
 }
 
 }  // namespace
