@@ -34,13 +34,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -51,6 +47,7 @@
 #include "frontend/replay.h"
 #include "frontend/server.h"
 #include "frontend/session.h"
+#include "testing/line_client.h"
 #include "workload/registry.h"
 
 namespace aqv {
@@ -143,31 +140,13 @@ void F10Args(benchmark::internal::Benchmark* b) {
 
 // --- epoll server sweeps (PR 10) ---------------------------------------
 
-/// Blocking TCP client: sends `request` in one write, reads to EOF (the
-/// request ends in `quit`, so the server closes when done).
+/// Sends `request` on a new connection and reads to EOF (the request
+/// ends in `quit`, so the server closes when done).
 std::string ReplayOverTcp(int port, const std::string& request) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ConnectLoopback(port);
   if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
-  size_t sent = 0;
-  while (sent < request.size()) {
-    ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
-  std::string received;
-  char buf[8192];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    received.append(buf, static_cast<size_t>(n));
-  }
+  SendAll(fd, request);
+  std::string received = RecvUntilEof(fd);
   ::close(fd);
   return received;
 }

@@ -176,7 +176,7 @@ Result<AnswerResponse> AnswerQuery(const AnswerRequest& request) {
     }
 
     case AnswerRoute::kCostBased: {
-      PlannerOptions popts = request.planner;
+      PlannerOptions popts;
       popts.engine = request.options;
       if (request.base == nullptr) popts.include_direct_plan = false;
       ExtentStats base_stats;

@@ -94,9 +94,6 @@ struct AnswerRequest {
   /// Engine knobs + the shared containment oracle.
   EngineOptions options;
   EvalOptions eval;
-  /// kCostBased knobs. `planner.engine` is overwritten with `options`, so
-  /// the oracle and budgets are configured in exactly one place.
-  PlannerOptions planner;
 };
 
 /// Counters of one answering call, stage by stage.

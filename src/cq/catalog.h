@@ -23,7 +23,7 @@ enum class PredKind : uint8_t {
 
 /// Metadata for one predicate symbol. `global` is the process-wide id of
 /// the (name, arity) meaning (cq/global_symbols.h): equal across catalogs,
-/// the identity catalog-independent fingerprints hash.
+/// the identity the catalog-independent encodings (cq/query.h) key on.
 struct PredInfo {
   std::string name;
   int arity = 0;

@@ -1,15 +1,15 @@
 /// \file
 /// Process-global symbol interning: the name-level identity layer under
-/// catalog-independent fingerprints. Every Catalog remains the per-problem
+/// the catalog-independent encodings. Every Catalog remains the per-problem
 /// symbol table (dense local ids indexing flat vectors), but at intern time
 /// each predicate and constant is *also* registered here, yielding a
 /// GlobalId that is a pure function of the symbol's meaning — (name, arity)
 /// for predicates, source text for constants — shared by every catalog in
 /// the process. Two queries parsed into different catalogs from the same
 /// surface text therefore agree on every global id, which is what lets
-/// Query::GlobalFingerprint() and the containment oracle's canonical
-/// encodings (containment/oracle.h) match across connections of the
-/// multiplexed frontend server: one server-lifetime cache, many
+/// their GlobalCanonicalEncoding (cq/query.h) — the key of the
+/// containment oracle (containment/oracle.h) — match across connections
+/// of the multiplexed frontend server: one server-lifetime cache, many
 /// short-lived per-connection catalogs.
 ///
 /// Thread safety: catalogs are single-threaded, but distinct catalogs

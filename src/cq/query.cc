@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <tuple>
 #include <utility>
 
@@ -140,39 +139,30 @@ namespace {
 constexpr uint64_t kConstTag = 0x517cc1b727220a95ULL;
 constexpr uint64_t kVarTag = 0x2545f4914f6cdd1dULL;
 
-// Symbol-key policies for the colour-refinement machinery and encoders.
-// LocalKeys feeds catalog-local dense ids (CanonicalForm / Fingerprint —
-// identities confined to one catalog); GlobalKeys feeds
-// process-global interned ids (the catalog-independent encodings shared
-// caches key on). Null-catalog queries fall back to local ids so the
-// default-constructed Query stays safe to hash.
-struct LocalKeys {
-  uint64_t pred(const Query&, PredId p) const {
-    return static_cast<uint64_t>(p);
-  }
-  uint64_t cst(const Query&, ConstId c) const {
-    return static_cast<uint64_t>(c);
-  }
-};
-struct GlobalKeys {
-  uint64_t pred(const Query& q, PredId p) const {
-    if (q.catalog() == nullptr || p < 0) return static_cast<uint64_t>(p);
-    return static_cast<uint64_t>(q.catalog()->pred_global(p));
-  }
-  uint64_t cst(const Query& q, ConstId c) const {
-    if (q.catalog() == nullptr || c < 0) return static_cast<uint64_t>(c);
-    return static_cast<uint64_t>(q.catalog()->const_global(c));
-  }
-};
+// Flavor words keep raw and canonical encodings from ever comparing equal,
+// so one cache may hold both kinds of key without ambiguity.
+constexpr uint64_t kRawFlavor = 0xa0761d6478bd642fULL;
+constexpr uint64_t kCanonFlavor = 0xe7037ed1a0b428dbULL;
+
+// Symbols enter colours and encodings as their process-global ids, so
+// every key agrees across catalogs. A null-catalog query keeps its local
+// ids, so the default-constructed Query stays safe to encode.
+uint64_t PredKey(const Query& q, PredId p) {
+  if (q.catalog() == nullptr || p < 0) return static_cast<uint64_t>(p);
+  return static_cast<uint64_t>(q.catalog()->pred_global(p));
+}
+
+uint64_t ConstKey(const Query& q, ConstId c) {
+  if (q.catalog() == nullptr || c < 0) return static_cast<uint64_t>(c);
+  return static_cast<uint64_t>(q.catalog()->const_global(c));
+}
 
 // One round of colour refinement: each variable's colour becomes a hash of
 // its old colour together with the multiset of (pred, position, old colours
 // of co-occurring terms) contexts it appears in.
-template <typename Keys>
-void RefineColors(const Query& q, const Keys& keys,
-                  std::vector<uint64_t>* colors) {
+void RefineColors(const Query& q, std::vector<uint64_t>* colors) {
   auto term_color = [&](Term t) -> uint64_t {
-    if (t.is_const()) return kConstTag ^ keys.cst(q, t.constant());
+    if (t.is_const()) return kConstTag ^ ConstKey(q, t.constant());
     return (*colors)[t.var()];
   };
   std::vector<std::vector<uint64_t>> contexts(colors->size());
@@ -180,7 +170,7 @@ void RefineColors(const Query& q, const Keys& keys,
     for (int i = 0; i < a.arity(); ++i) {
       if (!a.args[i].is_var()) continue;
       Fnv1a h;
-      h.Mix(keys.pred(q, a.pred));
+      h.Mix(PredKey(q, a.pred));
       h.Mix(static_cast<uint64_t>(i));
       for (int j = 0; j < a.arity(); ++j) h.Mix(term_color(a.args[j]));
       contexts[a.args[i].var()].push_back(h.hash());
@@ -194,13 +184,11 @@ void RefineColors(const Query& q, const Keys& keys,
   }
 }
 
-// Colour-refinement variable colours shared by CanonicalForm, Fingerprint,
-// and the catalog-independent encodings. Initial colours:
-// distinguished variables keyed by head position so that head-permutations
-// are distinguished; existential variables uniform; comparison
-// participation feeds colours too.
-template <typename Keys>
-std::vector<uint64_t> ComputeVarColors(const Query& q, const Keys& keys) {
+// Colour-refinement variable colours of the canonical encoding. Initial
+// colours: distinguished variables keyed by head position so that
+// head-permutations are distinguished; existential variables uniform;
+// comparison participation feeds colours too.
+std::vector<uint64_t> ComputeVarColors(const Query& q) {
   std::vector<uint64_t> colors(q.num_vars(), kVarTag);
   for (size_t i = 0; i < q.head().args.size(); ++i) {
     if (q.head().args[i].is_var()) {
@@ -214,147 +202,51 @@ std::vector<uint64_t> ComputeVarColors(const Query& q, const Keys& keys) {
     mixin(c.lhs, 0xc4ceb9fe1a85ec53ULL * (static_cast<uint64_t>(c.op) + 1));
     mixin(c.rhs, 0xb492b66fbe98f273ULL * (static_cast<uint64_t>(c.op) + 1));
   }
-  for (int round = 0; round < 3; ++round) RefineColors(q, keys, &colors);
+  for (int round = 0; round < 3; ++round) RefineColors(q, &colors);
   return colors;
 }
 
-}  // namespace
-
-Query Query::CanonicalForm() const {
-  std::vector<uint64_t> colors = ComputeVarColors(*this, LocalKeys{});
-  auto term_key = [&](Term t) -> std::pair<uint64_t, uint64_t> {
-    if (t.is_const()) return {1, static_cast<uint64_t>(t.constant())};
-    return {0, colors[t.var()]};
-  };
-
-  // Body order: sort indices by (pred, arg keys); exact duplicates collapse
-  // later (set semantics). Ties between distinct atoms
-  // the colours cannot separate keep input order — deterministic, merely
-  // not canonical across every isomorphism.
-  std::vector<int> order(body_.size());
-  for (size_t i = 0; i < body_.size(); ++i) order[i] = static_cast<int>(i);
-  auto atom_key = [&](int i) {
-    std::vector<std::pair<uint64_t, uint64_t>> k;
-    k.reserve(body_[i].args.size() + 1);
-    k.push_back({0, static_cast<uint64_t>(body_[i].pred)});
-    for (Term t : body_[i].args) k.push_back(term_key(t));
-    return k;
-  };
-  std::stable_sort(order.begin(), order.end(),
-                   [&](int a, int b) { return atom_key(a) < atom_key(b); });
-
-  std::vector<int> cmp_order(comparisons_.size());
-  for (size_t i = 0; i < comparisons_.size(); ++i) {
-    cmp_order[i] = static_cast<int>(i);
-  }
-  auto cmp_key = [&](int i) {
-    const Comparison& c = comparisons_[i];
-    return std::tuple(static_cast<int>(c.op), term_key(c.lhs),
-                      term_key(c.rhs));
-  };
-  std::stable_sort(cmp_order.begin(), cmp_order.end(),
-                   [&](int a, int b) { return cmp_key(a) < cmp_key(b); });
-
-  // Renumber variables by first appearance: head, sorted body, sorted
-  // comparisons. Variables occurring nowhere are dropped.
-  Query out(catalog_);
-  std::vector<VarId> remap(var_names_.size(), -1);
-  auto renumber = [&](Term t) -> Term {
-    if (t.is_const()) return t;
-    if (remap[t.var()] < 0) {
-      remap[t.var()] = out.AddVariable("C" + std::to_string(out.num_vars()));
-    }
-    return Term::Var(remap[t.var()]);
-  };
-  Atom head = head_;
-  for (Term& t : head.args) t = renumber(t);
-  out.set_head(std::move(head));
-  for (int i : order) {
-    Atom a = body_[i];
-    for (Term& t : a.args) t = renumber(t);
-    bool dup = false;
-    for (const Atom& prev : out.body()) {
-      if (prev == a) dup = true;
-    }
-    if (!dup) out.AddBodyAtom(std::move(a));
-  }
-  for (int i : cmp_order) {
-    Comparison c = comparisons_[i];
-    c.lhs = renumber(c.lhs);
-    c.rhs = renumber(c.rhs);
-    out.AddComparison(c);
-  }
-  return out;
-}
-
-uint64_t StructuralHash(const Query& q) {
-  Fnv1a h;
-  auto mix_term = [&](Term t) {
-    if (t.is_const()) {
-      h.Mix(0x517cc1b727220a95ULL);
-      h.Mix(static_cast<uint64_t>(t.constant()));
-    } else {
-      h.Mix(0x2545f4914f6cdd1dULL);
-      h.Mix(static_cast<uint64_t>(t.var()));
-    }
-  };
-  h.Mix(static_cast<uint64_t>(q.head().pred));
-  for (Term t : q.head().args) mix_term(t);
-  h.Mix(q.body().size());
-  for (const Atom& a : q.body()) {
-    h.Mix(static_cast<uint64_t>(a.pred));
-    for (Term t : a.args) mix_term(t);
-  }
-  h.Mix(q.comparisons().size());
-  for (const Comparison& c : q.comparisons()) {
-    h.Mix(static_cast<uint64_t>(c.op));
-    mix_term(c.lhs);
-    mix_term(c.rhs);
-  }
-  return h.hash();
-}
-
-uint64_t Query::Fingerprint() const { return StructuralHash(CanonicalForm()); }
-
-namespace {
-
-// Flavor words keep raw and canonical encodings from ever comparing equal,
-// so one cache may hold both kinds of key without ambiguity.
-constexpr uint64_t kRawFlavor = 0xa0761d6478bd642fULL;
-constexpr uint64_t kCanonFlavor = 0xe7037ed1a0b428dbULL;
-
-}  // namespace
-
-std::vector<uint64_t> GlobalRawEncoding(const Query& q) {
-  GlobalKeys keys;
+// The word emitter of both encodings: flavor, head, body atoms and
+// comparisons in the order given, variable ids as given, symbols as
+// global ids.
+std::vector<uint64_t> EmitWords(const Query& q, uint64_t flavor,
+                                const Atom& head, const std::vector<Atom>& body,
+                                const std::vector<Comparison>& cmps) {
   std::vector<uint64_t> out;
-  out.reserve(8 + 2 * q.head().args.size() + 4 * q.body().size() +
-              5 * q.comparisons().size());
+  out.reserve(8 + 2 * head.args.size() + 4 * body.size() + 5 * cmps.size());
   auto emit_term = [&](Term t) {
     if (t.is_const()) {
       out.push_back(kConstTag);
-      out.push_back(keys.cst(q, t.constant()));
+      out.push_back(ConstKey(q, t.constant()));
     } else {
       out.push_back(kVarTag);
       out.push_back(static_cast<uint64_t>(t.var()));
     }
   };
-  out.push_back(kRawFlavor);
-  out.push_back(keys.pred(q, q.head().pred));
-  out.push_back(q.head().args.size());
-  for (Term t : q.head().args) emit_term(t);
-  out.push_back(q.body().size());
-  for (const Atom& a : q.body()) {
-    out.push_back(keys.pred(q, a.pred));
+  out.push_back(flavor);
+  out.push_back(PredKey(q, head.pred));
+  out.push_back(head.args.size());
+  for (Term t : head.args) emit_term(t);
+  out.push_back(body.size());
+  for (const Atom& a : body) {
+    out.push_back(PredKey(q, a.pred));
     out.push_back(a.args.size());
     for (Term t : a.args) emit_term(t);
   }
-  out.push_back(q.comparisons().size());
-  for (const Comparison& c : q.comparisons()) {
+  out.push_back(cmps.size());
+  for (const Comparison& c : cmps) {
     out.push_back(static_cast<uint64_t>(c.op));
     emit_term(c.lhs);
     emit_term(c.rhs);
   }
+  return out;
+}
+
+}  // namespace
+
+std::vector<uint64_t> GlobalRawEncoding(const Query& q) {
+  std::vector<uint64_t> out =
+      EmitWords(q, kRawFlavor, q.head(), q.body(), q.comparisons());
   // Mirrors operator=='s variable-count term so raw-equal implies
   // structurally interchangeable even for queries with trailing unused vars.
   out.push_back(static_cast<uint64_t>(q.num_vars()));
@@ -362,24 +254,23 @@ std::vector<uint64_t> GlobalRawEncoding(const Query& q) {
 }
 
 std::vector<uint64_t> GlobalCanonicalEncoding(const Query& q) {
-  GlobalKeys keys;
-  std::vector<uint64_t> colors = ComputeVarColors(q, keys);
+  std::vector<uint64_t> colors = ComputeVarColors(q);
   auto term_key = [&](Term t) -> std::pair<uint64_t, uint64_t> {
-    if (t.is_const()) return {1, keys.cst(q, t.constant())};
+    if (t.is_const()) return {1, ConstKey(q, t.constant())};
     return {0, colors[t.var()]};
   };
 
-  // Sort body and comparisons exactly as CanonicalForm does, but by
-  // global-id keys, so the order agrees across catalogs. Colour ties keep
-  // input order — deterministic within a process, merely not canonical
-  // across every isomorphism (the usual best-effort contract).
+  // Sort body and comparisons by global-id keys, so the order agrees
+  // across catalogs. Colour ties keep input order — deterministic within a
+  // process, merely not canonical across every isomorphism (the usual
+  // best-effort contract).
   const std::vector<Atom>& body = q.body();
   std::vector<int> order(body.size());
   for (size_t i = 0; i < body.size(); ++i) order[i] = static_cast<int>(i);
   auto atom_key = [&](int i) {
     std::vector<std::pair<uint64_t, uint64_t>> k;
     k.reserve(body[i].args.size() + 1);
-    k.push_back({0, keys.pred(q, body[i].pred)});
+    k.push_back({0, PredKey(q, body[i].pred)});
     for (Term t : body[i].args) k.push_back(term_key(t));
     return k;
   };
@@ -418,47 +309,21 @@ std::vector<uint64_t> GlobalCanonicalEncoding(const Query& q) {
     }
     if (!dup) out_body.push_back(std::move(a));
   }
-
-  std::vector<uint64_t> out;
-  out.reserve(8 + 2 * head.args.size() + 4 * out_body.size() +
-              5 * cmps.size());
-  auto emit_term = [&](Term t) {
-    if (t.is_const()) {
-      out.push_back(kConstTag);
-      out.push_back(keys.cst(q, t.constant()));
-    } else {
-      out.push_back(kVarTag);
-      out.push_back(static_cast<uint64_t>(t.var()));
-    }
-  };
-  out.push_back(kCanonFlavor);
-  out.push_back(keys.pred(q, head.pred));
-  out.push_back(head.args.size());
-  for (Term t : head.args) emit_term(t);
-  out.push_back(out_body.size());
-  for (const Atom& a : out_body) {
-    out.push_back(keys.pred(q, a.pred));
-    out.push_back(a.args.size());
-    for (Term t : a.args) emit_term(t);
-  }
-  out.push_back(cmps.size());
+  std::vector<Comparison> out_cmps;
+  out_cmps.reserve(cmps.size());
   for (int i : cmp_order) {
-    out.push_back(static_cast<uint64_t>(cmps[i].op));
     Comparison c = cmps[i];
-    emit_term(renumber(c.lhs));
-    emit_term(renumber(c.rhs));
+    c.lhs = renumber(c.lhs);
+    c.rhs = renumber(c.rhs);
+    out_cmps.push_back(c);
   }
-  return out;
+  return EmitWords(q, kCanonFlavor, head, out_body, out_cmps);
 }
 
 uint64_t HashWords(const std::vector<uint64_t>& words) {
   Fnv1a h;
   for (uint64_t w : words) h.Mix(w);
   return h.hash();
-}
-
-uint64_t GlobalFingerprint(const Query& q) {
-  return HashWords(GlobalCanonicalEncoding(q));
 }
 
 std::string UnionQuery::ToString() const {

@@ -87,25 +87,6 @@ class Query {
   /// Renders the rule, e.g. "q(X) :- r(X, Y), Y < 3.".
   std::string ToString() const;
 
-  /// \brief A normalized structural copy: body atoms sorted by a
-  /// color-refinement key, exact duplicate atoms dropped (set semantics),
-  /// variables renumbered densely in order of first appearance across head,
-  /// sorted body, then sorted comparisons. Unused variables are dropped.
-  ///
-  /// Equal canonical forms (operator==) imply the originals are isomorphic
-  /// up to duplicate atoms — in particular equivalent. The converse is
-  /// best-effort: automorphism-rich queries that color refinement cannot
-  /// discriminate may normalize differently, costing only a dedup/cache
-  /// miss, never a wrong answer.
-  Query CanonicalForm() const;
-
-  /// \brief A renaming-invariant 64-bit structural fingerprint: the hash of
-  /// CanonicalForm(). Unequal fingerprints imply non-isomorphic queries;
-  /// equal fingerprints must be confirmed (compare CanonicalForm() for
-  /// isomorphism, fall back to an equivalence test) before deduplicating —
-  /// the contract the rewriting engines' dedupers implement.
-  uint64_t Fingerprint() const;
-
   friend bool operator==(const Query& a, const Query& b) {
     return a.head_ == b.head_ && a.body_ == b.body_ &&
            a.comparisons_ == b.comparisons_ &&
@@ -119,12 +100,6 @@ class Query {
   std::vector<Comparison> comparisons_;
   std::vector<std::string> var_names_;
 };
-
-/// Order- and renaming-*sensitive* 64-bit hash of a query's exact structure
-/// (head, body atoms in order, comparisons in order, variable ids as-is).
-/// Query::Fingerprint() == StructuralHash(CanonicalForm()); callers that
-/// already hold a canonical form use this to avoid re-canonicalizing.
-uint64_t StructuralHash(const Query& q);
 
 // --- catalog-independent encodings ----------------------------------------
 //
@@ -146,23 +121,23 @@ uint64_t StructuralHash(const Query& q);
 /// catalogs: equal raw encodings imply globally-identical structure.
 std::vector<uint64_t> GlobalRawEncoding(const Query& q);
 
-/// Canonical catalog-independent encoding: colour-refinement normalization
-/// exactly parallel to CanonicalForm() — body atoms sorted (by global-id
-/// keys), exact duplicates dropped, variables renumbered densely by first
-/// appearance — emitted as a flat word sequence. Equal encodings imply
-/// isomorphic queries (up to duplicate atoms) with identical predicate
-/// meanings and constants; the converse is best-effort, as for
-/// CanonicalForm — a miss, never a wrong match.
+/// Canonical catalog-independent encoding — the one identity of a query
+/// up to variable renaming, body order and duplicate atoms. Variables are
+/// coloured by colour refinement (head position and comparison
+/// participation seed the colours), body atoms are sorted by (global
+/// predicate id, argument colours), exact duplicates are dropped, and
+/// variables are renumbered densely by first appearance (head, sorted
+/// body, sorted comparisons); the result is emitted as a flat word
+/// sequence. Equal encodings imply isomorphic queries (up to duplicate
+/// atoms) with identical predicate meanings and constants. The converse is
+/// best-effort: colour ties keep input order, so automorphism-rich queries
+/// that refinement cannot discriminate may encode differently — a missed
+/// match, never a wrong one.
 std::vector<uint64_t> GlobalCanonicalEncoding(const Query& q);
 
 /// FNV-1a over an encoding's words (the cache-key hash for either
 /// encoding flavor).
 uint64_t HashWords(const std::vector<uint64_t>& words);
-
-/// The renaming-invariant catalog-independent 64-bit fingerprint:
-/// HashWords(GlobalCanonicalEncoding(q)). The cross-catalog analogue of
-/// Query::Fingerprint(), with the same confirm-before-trusting contract.
-uint64_t GlobalFingerprint(const Query& q);
 
 /// \brief A union of conjunctive queries with a common head predicate.
 ///

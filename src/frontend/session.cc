@@ -15,6 +15,13 @@ namespace aqv {
 
 namespace {
 
+/// The engine `rewrite` and `answer` run without `with <engine>`.
+constexpr char kDefaultEngine[] = "minicon";
+/// The route `answer` takes without `route <route>`.
+constexpr AnswerRoute kDefaultRoute = AnswerRoute::kCompleteRewriting;
+/// Nested `load` depth cap (a script loading itself must terminate).
+constexpr int kMaxLoadDepth = 8;
+
 std::string_view Trim(std::string_view s) {
   size_t b = s.find_first_not_of(" \t\r\n");
   if (b == std::string_view::npos) return {};
@@ -403,10 +410,9 @@ CommandResult Session::CmdLoad(const std::string& rest) {
     return Status::Unimplemented("load is disabled in this session");
   }
   if (rest.empty()) return Status::InvalidArgument("usage: load <path>");
-  if (load_depth_ >= options_.max_load_depth) {
-    return Status::ResourceExhausted("load depth cap (" +
-                                     std::to_string(options_.max_load_depth) +
-                                     ") reached");
+  if (load_depth_ >= kMaxLoadDepth) {
+    return Status::ResourceExhausted(
+        "load depth cap (" + std::to_string(kMaxLoadDepth) + ") reached");
   }
   std::ifstream in(rest);
   if (!in) return Status::NotFound("cannot open '" + rest + "'");
@@ -457,9 +463,7 @@ CommandResult Session::CmdShow(const std::string& rest) {
     }
   } else if (rest == "engines") {
     for (const std::string& name : EngineNames()) {
-      AppendLine(&out, name + (name == options_.default_engine
-                                   ? " (default)"
-                                   : ""));
+      AppendLine(&out, name + (name == kDefaultEngine ? " (default)" : ""));
     }
   } else {
     return Status::InvalidArgument("unknown show target '" + rest +
@@ -524,10 +528,13 @@ Status Session::Ready(bool needs_views) const {
 }
 
 CommandResult Session::CmdRewrite(const std::string& rest) {
-  std::string engine = options_.default_engine;
+  std::string engine = kDefaultEngine;
   AQV_RETURN_NOT_OK(ParseEngineRoute(rest, "usage: rewrite [with <engine>]",
                                      &engine, /*route=*/nullptr));
   AQV_RETURN_NOT_OK(Ready(/*needs_views=*/true));
+  // Resolved before the plan cache: an unknown engine is not a lookup.
+  AQV_ASSIGN_OR_RETURN(std::unique_ptr<RewritingEngine> runner,
+                       MakeEngine(engine));
   // Shared plan cache: the key is the complete problem statement (engine,
   // options digest, rendered query and views), so a hit is byte-identical
   // to what recomputation would print and schema mutations miss naturally.
@@ -553,7 +560,7 @@ CommandResult Session::CmdRewrite(const std::string& rest) {
   request.query = *query_;
   request.views = &views_;
   request.options = options_.engine;
-  AQV_ASSIGN_OR_RETURN(RewriteResponse response, RunEngine(engine, request));
+  AQV_ASSIGN_OR_RETURN(RewriteResponse response, runner->Rewrite(request));
   last_rewrite_ = response.stats;
   std::string out = "engine " + response.engine + ": equivalent=" +
                     (response.equivalent_exists ? "yes" : "no") +
@@ -570,8 +577,8 @@ CommandResult Session::CmdRewrite(const std::string& rest) {
 }
 
 CommandResult Session::CmdAnswer(const std::string& rest) {
-  std::string engine = options_.default_engine;
-  AnswerRoute route = options_.default_route;
+  std::string engine = kDefaultEngine;
+  AnswerRoute route = kDefaultRoute;
   AQV_RETURN_NOT_OK(ParseEngineRoute(
       rest, "usage: answer [route <route>] [with <engine>]", &engine, &route));
   AQV_RETURN_NOT_OK(Ready(/*needs_views=*/route != AnswerRoute::kDirect));
@@ -582,8 +589,6 @@ CommandResult Session::CmdAnswer(const std::string& rest) {
   request.engine = engine;
   request.route = route;
   request.options = options_.engine;
-  request.eval = options_.eval;
-  request.planner = options_.planner;
   AQV_ASSIGN_OR_RETURN(AnswerResponse response, AnswerQuery(request));
   last_rewrite_ = response.stats.rewrite;
   std::string out = "route " + std::string(AnswerRouteName(response.route));
@@ -602,8 +607,8 @@ CommandResult Session::CmdExplain(const std::string&) {
         "explain expects a single-CQ query (unions have no cost plan)");
   }
   AQV_ASSIGN_OR_RETURN(Database extents,
-                       MaterializeViews(views_, base_, options_.eval));
-  PlannerOptions popts = options_.planner;
+                       MaterializeViews(views_, base_));
+  PlannerOptions popts;
   popts.engine = options_.engine;
   AQV_ASSIGN_OR_RETURN(
       PlannerResult plans,

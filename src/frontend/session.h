@@ -71,17 +71,9 @@ std::string RenderWireResponse(const CommandResult& result);
 
 /// Construction-time knobs of a Session.
 struct SessionOptions {
-  /// Engine used by `rewrite` / `answer` when no `with <engine>` is given.
-  std::string default_engine = "minicon";
-  /// Route used by `answer` when no `route <route>` is given.
-  AnswerRoute default_route = AnswerRoute::kCompleteRewriting;
   /// Engine knobs (oracle, containment budgets, per-strategy limits)
   /// applied to every rewrite/answer/explain the session runs.
   EngineOptions engine;
-  EvalOptions eval;
-  /// `explain` / cost-route knobs; `planner.engine` is overwritten with
-  /// `engine` so budgets and the oracle are configured in one place.
-  PlannerOptions planner;
   /// When set, `show stats` reports this service's lifetime counters, and
   /// a session without `engine.oracle` runs every engine call against the
   /// service's shared oracle. Commands still execute inline on the calling
@@ -97,8 +89,6 @@ struct SessionOptions {
   /// `load` reads files from the process's filesystem; transports serving
   /// remote clients (frontend/server.h) disable it.
   bool enable_load = true;
-  /// Nested `load` depth cap (a script loading itself must terminate).
-  int max_load_depth = 8;
   /// `save <dir>` / `open <dir>` persist the session through the storage
   /// engine (storage/store.h). Unlike `load`, the TCP server keeps this
   /// on — durable server-side sessions are the point — but an embedder

@@ -26,7 +26,7 @@ void FillBucket(const Query& q, int gi, const ViewSet& views,
       std::optional<ViewAtomCandidate> cand = MakeCandidateFromUnifier(
           q, view, u, {gi}, /*require_distinguished_exposed=*/true);
       if (!cand.has_value()) continue;
-      if (seen.Insert(*cand)) {
+      if (seen.insert(*cand).second) {
         bucket->push_back(std::move(*cand));
       }
     }
@@ -138,7 +138,7 @@ Result<BucketResult> BucketRewrite(const Query& q, const ViewSet& views,
     CandidateDeduper pick_seen;
     for (int i = 0; i < n; ++i) {
       const ViewAtomCandidate* c = &result.buckets[i][choice[i]];
-      if (pick_seen.Insert(*c)) picks.push_back(c);
+      if (pick_seen.insert(*c).second) picks.push_back(c);
     }
     auto try_candidate =
         [&](const std::vector<const ViewAtomCandidate*>& cand_picks)
@@ -153,10 +153,7 @@ Result<BucketResult> BucketRewrite(const Query& q, const ViewSet& views,
       if (!check.rewriting.has_value()) return false;
       ++result.candidates_checked;
       if (!check.passed) return false;
-      AQV_ASSIGN_OR_RETURN(
-          bool fresh,
-          seen_rewritings.Insert(*check.rewriting, options.containment));
-      if (fresh) {
+      if (seen_rewritings.Insert(*check.rewriting)) {
         result.rewritings.disjuncts.push_back(std::move(*check.rewriting));
       }
       return true;
@@ -182,7 +179,7 @@ Result<BucketResult> BucketRewrite(const Query& q, const ViewSet& views,
         std::vector<const ViewAtomCandidate*> eps;
         CandidateDeduper ekeys;
         for (const ViewAtomCandidate& e : enriched) {
-          if (ekeys.Insert(e)) eps.push_back(&e);
+          if (ekeys.insert(e).second) eps.push_back(&e);
         }
         AQV_ASSIGN_OR_RETURN(bool hit, try_candidate(eps));
         (void)hit;

@@ -105,7 +105,7 @@ Result<std::vector<ViewAtomCandidate>> CanonicalViewTuples(
       }
       cand.covered.assign(covered.begin(), covered.end());
       for (int i : cand.covered) cand.covered_mask |= uint64_t{1} << i;
-      if (seen.Insert(cand)) {
+      if (seen.insert(cand).second) {
         out.push_back(std::move(cand));
       }
       if (out.size() >= options.max_candidates) {

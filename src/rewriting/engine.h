@@ -5,7 +5,7 @@
 /// tools can drive any of them by name and compare them on identical
 /// workloads. A request optionally carries a ContainmentOracle; the engine
 /// threads it through ContainmentOptions so minimization, candidate
-/// verification, dedup confirmation, and subsumption pruning all share one
+/// verification and subsumption pruning all share one
 /// memoized containment core, and the response surfaces the oracle's
 /// hit/miss/budget delta alongside the engine's own search counters.
 

@@ -58,10 +58,7 @@ class LmssSearch {
                        VerifyLevel::kEquivalent, options_.containment));
     if (check.rewriting.has_value()) ++result_->candidates_checked;
     if (!check.passed) return Status::OK();
-    AQV_ASSIGN_OR_RETURN(
-        bool fresh, seen_rewritings_.Insert(*check.rewriting,
-                                            options_.containment));
-    if (fresh) {
+    if (seen_rewritings_.Insert(*check.rewriting)) {
       result_->rewritings.push_back(std::move(*check.rewriting));
       result_->exists = true;
     }

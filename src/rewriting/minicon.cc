@@ -76,7 +76,7 @@ class McdBuilder {
       std::optional<ViewAtomCandidate> cand = MakeCandidateFromUnifier(
           q_, view_, u, covered, /*require_distinguished_exposed=*/true);
       if (!cand.has_value()) return;
-      if (seen_->Insert(*cand)) {
+      if (seen_->insert(*cand).second) {
         out_->push_back(std::move(*cand));
       }
       return;
@@ -135,9 +135,7 @@ class McdCombiner {
       ++result_->candidates_checked;
     }
     if (!check.passed) return Status::OK();
-    AQV_ASSIGN_OR_RETURN(
-        bool fresh, seen_.Insert(*check.rewriting, options_.containment));
-    if (fresh) {
+    if (seen_.Insert(*check.rewriting)) {
       result_->rewritings.disjuncts.push_back(std::move(*check.rewriting));
     }
     return Status::OK();

@@ -6,34 +6,6 @@
 
 namespace aqv {
 
-Result<bool> QueryDeduper::Insert(const Query& q,
-                                  const ContainmentOptions& options) {
-  Query form = q.CanonicalForm();
-  uint64_t fp = StructuralHash(form);
-  std::vector<Query>& bucket = forms_[fp];
-  for (const Query& stored : bucket) {
-    if (stored == form) return false;  // isomorphic duplicate
-    // Fingerprint collision between distinct forms: only an equivalence
-    // test can tell a hash accident from a genuinely new rewriting.
-    AQV_ASSIGN_OR_RETURN(bool equiv, AreEquivalent(form, stored, options));
-    if (equiv) return false;
-  }
-  bucket.push_back(std::move(form));
-  ++count_;
-  return true;
-}
-
-bool CandidateDeduper::Insert(const ViewAtomCandidate& c) {
-  uint64_t fp = c.Fingerprint();
-  std::vector<ViewAtomCandidate>& bucket = seen_[fp];
-  for (const ViewAtomCandidate& stored : bucket) {
-    if (stored == c) return false;
-  }
-  bucket.push_back(c);
-  ++count_;
-  return true;
-}
-
 Result<ExpansionCheck> BuildAndVerify(
     const Query& q, const ViewSet& views,
     const std::vector<const ViewAtomCandidate*>& picks,

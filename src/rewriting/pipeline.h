@@ -1,12 +1,10 @@
 /// \file
-/// Shared pipeline stages of the rewriting engines. LMSS, Bucket, MiniCon,
-/// and the UCQ wrapper used to re-derive three things independently:
-/// canonical dedup of emitted rewritings, dedup of candidate view atoms,
-/// and the build → expand → containment-check verification of a candidate
-/// combination. This header is the single implementation all four engines
-/// now share; every containment call inside it threads ContainmentOptions,
-/// so wiring a ContainmentOracle into those options memoizes the whole
-/// pipeline at once.
+/// Shared pipeline stages of the rewriting engines LMSS, Bucket, MiniCon,
+/// and the UCQ wrapper: canonical dedup of emitted rewritings, dedup of
+/// candidate view atoms, and the build → expand → containment-check
+/// verification of a candidate combination. Every containment call inside
+/// it threads ContainmentOptions, so wiring a ContainmentOracle into those
+/// options memoizes the whole pipeline at once.
 
 #ifndef AQV_REWRITING_PIPELINE_H_
 #define AQV_REWRITING_PIPELINE_H_
@@ -14,7 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "containment/containment.h"
@@ -25,42 +23,35 @@
 
 namespace aqv {
 
-/// \brief Fingerprint-keyed dedup of emitted rewritings with
-/// equivalence-confirmed collision handling.
-///
-/// A query is a duplicate when its 64-bit Fingerprint() matches a stored
-/// entry and either the canonical forms are identical (isomorphic — the
-/// common case) or, for a genuine fingerprint collision between distinct
-/// forms, an equivalence test confirms it adds nothing. The equivalence
-/// fallback routes through ContainmentOptions, so it is memoized whenever
-/// an oracle is wired in.
+/// \brief Dedup of emitted rewritings: a query is a duplicate when its
+/// GlobalCanonicalEncoding (cq/query.h) equals a stored one — a renamed,
+/// reordered or duplicate-atom copy of an earlier rewriting.
 class QueryDeduper {
  public:
   /// Returns true iff `q` was not seen before (and records it).
-  [[nodiscard]] Result<bool> Insert(const Query& q, const ContainmentOptions& options);
-
-  size_t size() const { return count_; }
-
- private:
-  std::unordered_map<uint64_t, std::vector<Query>> forms_;
-  size_t count_ = 0;
-};
-
-/// \brief Exact structural dedup of ViewAtomCandidate values keyed by their
-/// 64-bit Fingerprint(). Colliding entries are compared field-wise
-/// (operator==), so the dedup is sound without any containment test —
-/// candidates are syntactic objects, not queries.
-class CandidateDeduper {
- public:
-  /// Returns true iff `c` was not seen before (and records it).
-  bool Insert(const ViewAtomCandidate& c);
-
-  size_t size() const { return count_; }
+  bool Insert(const Query& q) {
+    return seen_.insert(GlobalCanonicalEncoding(q)).second;
+  }
 
  private:
-  std::unordered_map<uint64_t, std::vector<ViewAtomCandidate>> seen_;
-  size_t count_ = 0;
+  struct WordsHash {
+    size_t operator()(const std::vector<uint64_t>& words) const {
+      return HashWords(words);
+    }
+  };
+  std::unordered_set<std::vector<uint64_t>, WordsHash> seen_;
 };
+
+/// Exact structural dedup of ViewAtomCandidate values (operator==), hashed
+/// by their Fingerprint(). Candidates are syntactic objects, not queries,
+/// so no containment test is involved.
+struct CandidateFingerprint {
+  size_t operator()(const ViewAtomCandidate& c) const {
+    return c.Fingerprint();
+  }
+};
+using CandidateDeduper =
+    std::unordered_set<ViewAtomCandidate, CandidateFingerprint>;
 
 /// How much of the expansion-containment verification a caller needs.
 enum class VerifyLevel {

@@ -229,8 +229,7 @@ Result<PlannerResult> ChooseBestPlan(const Query& q, const ViewSet& views,
         }
         if (!equivalent.value()) continue;
       }
-      AQV_ASSIGN_OR_RETURN(bool fresh, deduper.Insert(rw, copts));
-      if (!fresh) continue;
+      if (!deduper.Insert(rw)) continue;
       PlanChoice plan;
       plan.engine = name;
       plan.complete = UsesOnlyViews(rw, views);

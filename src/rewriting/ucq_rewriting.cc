@@ -40,8 +40,7 @@ Result<UnionQuery> MaximallyContainedUnionRewriting(
     AQV_ASSIGN_OR_RETURN(MiniConResult r,
                          MiniConRewrite(disjunct, views, options));
     for (Query& rw : r.rewritings.disjuncts) {
-      AQV_ASSIGN_OR_RETURN(bool fresh, seen.Insert(rw, options.containment));
-      if (fresh) {
+      if (seen.Insert(rw)) {
         out.disjuncts.push_back(std::move(rw));
       }
     }

@@ -1,8 +1,7 @@
 #include "testing/differential.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,6 +13,7 @@
 
 #include "answering/answering.h"
 #include "eval/relation.h"
+#include "testing/line_client.h"
 
 namespace aqv {
 
@@ -29,7 +29,6 @@ Result<std::vector<std::string>> DirectRows(const Session& session) {
   request.base = &session.base();
   request.route = AnswerRoute::kDirect;
   request.options = session.options().engine;
-  request.eval = session.options().eval;
   AQV_ASSIGN_OR_RETURN(AnswerResponse direct, AnswerQuery(request));
   Relation sorted = direct.result;
   sorted.SortDedup();
@@ -194,67 +193,18 @@ bool FlipOneAnswer(std::string* raw_response) {
   return false;
 }
 
-namespace {
-
-/// Reads one whole response — payload lines through the `ok`/`err ...`
-/// terminator line — off `fd`. Bytes past it stay in `*carry`.
-Result<std::string> ReadResponse(int fd, std::string* carry) {
-  std::string raw;
-  while (true) {
-    size_t nl;
-    while ((nl = carry->find('\n')) != std::string::npos) {
-      std::string line = carry->substr(0, nl);
-      raw.append(*carry, 0, nl + 1);
-      carry->erase(0, nl + 1);
-      if (line == "ok" || line.rfind("err ", 0) == 0) return raw;
-    }
-    char buf[4096];
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n == 0) {
-      return Status::Internal("server closed the connection mid-response");
-    }
-    if (n < 0) {
-      return Status::Internal(std::string("recv failed: ") +
-                              std::strerror(errno));
-    }
-    carry->append(buf, static_cast<size_t>(n));
-  }
-}
-
-bool SendAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, 0);
-    if (n <= 0) return false;
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
-
 Result<TcpReplayResult> ReplayAndCheckOverTcp(
     int port, const std::vector<std::string>& lines,
     const TcpReplayOptions& options) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ConnectLoopback(port);
   if (fd < 0) {
-    return Status::Internal(std::string("socket failed: ") +
-                            std::strerror(errno));
+    return Status::Internal("connect to 127.0.0.1:" + std::to_string(port) +
+                            " failed: " + std::strerror(errno));
   }
   struct timeval tv;
   tv.tv_sec = options.recv_timeout_s;
   tv.tv_usec = 0;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::Internal("connect to 127.0.0.1:" + std::to_string(port) +
-                            " failed: " + err);
-  }
 
   MirrorChecker checker(options.mirror);
   std::string carry;

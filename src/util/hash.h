@@ -1,6 +1,6 @@
 /// \file
 /// The FNV-1a 64-bit mixer shared by every structural hash in the library
-/// (query structural hashes, colour refinement, candidate fingerprints) —
+/// (query encoding hashes, colour refinement, candidate fingerprints) —
 /// one definition of the constants and mix step, so hardening tweaks land
 /// everywhere at once.
 

@@ -3,6 +3,7 @@
 #include "containment/containment.h"
 #include "cq/parser.h"
 #include "rewriting/candidates.h"
+#include "rewriting/pipeline.h"
 #include "rewriting/two_space_unifier.h"
 
 namespace aqv {
@@ -205,6 +206,21 @@ TEST_F(CandidatesTest, RemoveSubsumedDisjunctsKeepsMaximal) {
   ASSERT_EQ(pruned.value().size(), 1);
   EXPECT_NE(pruned.value().disjuncts[0].ToString().find("v1"),
             std::string::npos);
+}
+
+TEST_F(CandidatesTest, QueryDeduperKeepsOneCopyPerIdentity) {
+  QueryDeduper seen;
+  EXPECT_TRUE(seen.Insert(Parse("q(X, Y) :- r(X, Z), s(Z, Y), Z < 3.")));
+  // Renamed, reordered and duplicate-atom copies are duplicates.
+  EXPECT_FALSE(seen.Insert(Parse("q(A, B) :- r(A, C), s(C, B), C < 3.")));
+  EXPECT_FALSE(seen.Insert(Parse("q(X, Y) :- s(Z, Y), r(X, Z), Z < 3.")));
+  EXPECT_FALSE(
+      seen.Insert(Parse("q(X, Y) :- r(X, Z), s(Z, Y), r(X, Z), Z < 3.")));
+  // A head permutation and a different comparison are new rewritings.
+  EXPECT_TRUE(seen.Insert(Parse("q(Y, X) :- r(X, Z), s(Z, Y), Z < 3.")));
+  EXPECT_TRUE(seen.Insert(Parse("q(X, Y) :- r(X, Z), s(Z, Y), Z <= 3.")));
+  EXPECT_TRUE(seen.Insert(Parse("q(X, Y) :- r(X, Z), s(Z, Y), X < 3.")));
+  EXPECT_FALSE(seen.Insert(Parse("q(X, Y) :- r(X, Z), s(Z, Y), X < 3.")));
 }
 
 }  // namespace

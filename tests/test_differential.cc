@@ -67,7 +67,7 @@ TEST(ParseAnswerPayloadTest, RejectsMalformedPayloads) {
       ParseAnswerPayload("route direct: 1 answer (exact)\nnot a row").ok());
 }
 
-TEST(DifferentialTest, IsCheckableExcludesNonDeterministicCommands) {
+TEST(DifferentialTest, ModeOfExcludesNonDeterministicCommands) {
   auto checked = [](const char* command) {
     return MirrorChecker::ModeOf(command) == Session::MirrorMode::kCompare;
   };

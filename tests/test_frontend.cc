@@ -6,6 +6,7 @@
 // harness rely on.
 
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -312,6 +313,28 @@ TEST(SessionTest, RewriteUnknownEngineFails) {
   LoadToyProblem(session);
   CommandResult r = session.Execute("rewrite with bogus");
   EXPECT_EQ(r.status.code(), StatusCode::kNotFound);
+}
+
+TEST(SessionTest, UnknownEngineIsNotAPlanCacheLookup) {
+  RewritePlanCache plan_cache;
+  SessionOptions options;
+  options.plan_cache = &plan_cache;
+  Session cached(options);
+  Session plain;
+  LoadToyProblem(cached);
+  LoadToyProblem(plain);
+  std::string refused = RenderWireResponse(plain.Execute("rewrite with bogus"));
+  EXPECT_EQ(refused, "err NotFound: no rewriting engine named 'bogus'\n");
+  EXPECT_EQ(RenderWireResponse(cached.Execute("rewrite with bogus")), refused);
+  EXPECT_EQ(plan_cache.stats().hits, 0u);
+  EXPECT_EQ(plan_cache.stats().misses, 0u);
+  // A real engine run still misses once, then hits; the refusal moves
+  // neither count.
+  ASSERT_TRUE(cached.Execute("rewrite").ok());
+  ASSERT_TRUE(cached.Execute("rewrite").ok());
+  EXPECT_EQ(RenderWireResponse(cached.Execute("rewrite with bogus")), refused);
+  EXPECT_EQ(plan_cache.stats().misses, 1u);
+  EXPECT_EQ(plan_cache.stats().hits, 1u);
 }
 
 TEST(SessionTest, RewriteUsageErrors) {
@@ -629,6 +652,60 @@ TEST(ReplayTest, ReplayedScenarioAnswersMatchAllRoutes) {
   std::string direct_rows = direct.output.substr(direct.output.find('\n'));
   std::string cost_rows = cost.output.substr(cost.output.find('\n'));
   EXPECT_EQ(direct_rows, cost_rows);
+}
+
+TEST(ReplayTest, EngineOutputsMatchGolden) {
+  // Each `### <scenario> | <command>` header of the golden file is
+  // followed by the command's transcript lines.
+  std::ifstream in(std::string(AQV_SOURCE_DIR) +
+                   "/tests/golden/engine_outputs.txt");
+  ASSERT_TRUE(in);
+  struct Probe {
+    std::string scenario, command, expected;
+  };
+  std::vector<Probe> probes;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("### ", 0) == 0) {
+      size_t bar = line.find(" | ");
+      ASSERT_NE(bar, std::string::npos) << line;
+      probes.push_back({line.substr(4, bar - 4), line.substr(bar + 3), ""});
+    } else if (!probes.empty()) {
+      std::string& expected = probes.back().expected;
+      expected += (expected.empty() ? "" : "\n") + line;
+    }
+  }
+  // The file pins every engine's rewrite and explain on every scenario.
+  std::vector<std::string> pinned, wanted;
+  for (const Probe& p : probes) {
+    pinned.push_back(p.scenario + " | " + p.command);
+  }
+  for (const std::string& name : ScenarioNames()) {
+    for (const std::string& engine : EngineNames()) {
+      wanted.push_back(name + " | rewrite with " + engine);
+    }
+    wanted.push_back(name + " | explain");
+  }
+  EXPECT_EQ(pinned, wanted);
+
+  std::unique_ptr<Session> session;
+  std::string loaded;
+  for (const Probe& p : probes) {
+    if (p.scenario != loaded) {
+      Scenario scenario =
+          std::move(MakeScenarioByName(p.scenario, /*seed=*/1,
+                                       /*db_size=*/20))
+              .value();
+      session = std::make_unique<Session>();
+      for (const CommandResult& r :
+           session->ExecuteScript(ScriptFromScenario(scenario).value())) {
+        ASSERT_TRUE(r.ok()) << p.scenario << ": " << r.status.ToString();
+      }
+      loaded = p.scenario;
+    }
+    EXPECT_EQ(TranscriptLines(session->Execute(p.command)), p.expected)
+        << p.scenario << " | " << p.command;
+  }
 }
 
 }  // namespace

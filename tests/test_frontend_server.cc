@@ -5,72 +5,19 @@
 // RewriteService receive byte-identical responses. CI additionally runs
 // this binary under ThreadSanitizer (the tsan-service job).
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "frontend/server.h"
 #include "gtest/gtest.h"
+#include "testing/line_client.h"
 
 namespace aqv {
 namespace {
-
-/// Blocking TCP client helper: connects to 127.0.0.1:port.
-int ConnectTo(int port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  EXPECT_EQ(rc, 0) << std::strerror(errno);
-  return fd;
-}
-
-bool IsTerminator(const std::string& line) {
-  return line == "ok" || line.rfind("err ", 0) == 0;
-}
-
-/// Sends `commands` (one per line) and reads until `expected_terminators`
-/// terminator lines arrived (or the peer closed). Returns everything read.
-std::string Roundtrip(int port, const std::vector<std::string>& commands) {
-  int fd = ConnectTo(port);
-  std::string request;
-  for (const std::string& c : commands) request += c + "\n";
-  size_t sent = 0;
-  while (sent < request.size()) {
-    ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
-  std::string received;
-  size_t terminators = 0;
-  size_t scanned = 0;
-  char buf[4096];
-  while (terminators < commands.size()) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    received.append(buf, static_cast<size_t>(n));
-    size_t nl;
-    while ((nl = received.find('\n', scanned)) != std::string::npos) {
-      if (IsTerminator(received.substr(scanned, nl - scanned))) {
-        ++terminators;
-      }
-      scanned = nl + 1;
-    }
-  }
-  ::close(fd);
-  return received;
-}
 
 const std::vector<std::string> kScript = {
     "view v(X, Y) :- edge(X, Y), checked(Y).",
@@ -196,13 +143,11 @@ TEST(FrontendServerTest, ConcurrentClientsGetIdenticalResponses) {
 TEST(FrontendServerTest, StopWhileClientConnectedUnblocksIt) {
   FrontendServer server;
   ASSERT_TRUE(server.Start().ok());
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   // Half a command, never finished: the handler is blocked in recv.
-  ::send(fd, "show vi", 7, 0);
+  SendAll(fd, "show vi");
   std::thread stopper([&] { server.Stop(); });
-  char buf[256];
-  while (::recv(fd, buf, sizeof(buf), 0) > 0) {
-  }
+  RecvUntilEof(fd);
   stopper.join();
   ::close(fd);
 }
@@ -217,14 +162,9 @@ TEST(FrontendServerTest, OverlongLineIsRefused) {
   // terminator never comes.
   for (const std::string& big :
        {std::string(256, 'x') + "\n", std::string(256, 'x')}) {
-    int fd = ConnectTo(server.port());
-    ::send(fd, big.data(), big.size(), 0);
-    std::string received;
-    char buf[512];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-      received.append(buf, static_cast<size_t>(n));
-    }
+    int fd = ConnectLoopback(server.port());
+    SendAll(fd, big);
+    std::string received = RecvUntilEof(fd);
     EXPECT_EQ(received, "err InvalidArgument: line exceeds 64 bytes\n");
     ::close(fd);
   }
@@ -253,14 +193,9 @@ TEST(FrontendServerTest, LineOneByteOverCapIsRefused) {
   FrontendServer server(options);
   ASSERT_TRUE(server.Start().ok());
   std::string over_cap = "%" + std::string(64, 'x') + "\n";
-  int fd = ConnectTo(server.port());
-  ::send(fd, over_cap.data(), over_cap.size(), 0);
-  std::string received;
-  char buf[256];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    received.append(buf, static_cast<size_t>(n));
-  }
+  int fd = ConnectLoopback(server.port());
+  SendAll(fd, over_cap);
+  std::string received = RecvUntilEof(fd);
   EXPECT_EQ(received, "err InvalidArgument: line exceeds 64 bytes\n");
   ::close(fd);
   server.Stop();
@@ -275,18 +210,13 @@ TEST(FrontendServerTest, PartialLinesAcrossReadsRespectTheCap) {
   // An under-cap line split across two sends (the server recv()s the
   // fragments separately) is reassembled and accepted.
   {
-    int fd = ConnectTo(server.port());
+    int fd = ConnectLoopback(server.port());
     std::string head = "%" + std::string(30, 'a');
     std::string tail = std::string(30, 'b') + "\nquit\n";
-    ::send(fd, head.data(), head.size(), 0);
+    SendAll(fd, head);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ::send(fd, tail.data(), tail.size(), 0);
-    std::string received;
-    char buf[256];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-      received.append(buf, static_cast<size_t>(n));
-    }
+    SendAll(fd, tail);
+    std::string received = RecvUntilEof(fd);
     EXPECT_EQ(received, "ok\nok\n");
     ::close(fd);
   }
@@ -294,17 +224,12 @@ TEST(FrontendServerTest, PartialLinesAcrossReadsRespectTheCap) {
   // A newline-less carry that crosses the cap on a *later* read is
   // refused as soon as the accumulated partial line exceeds it.
   {
-    int fd = ConnectTo(server.port());
+    int fd = ConnectLoopback(server.port());
     std::string fragment(40, 'x');
-    ::send(fd, fragment.data(), fragment.size(), 0);
+    SendAll(fd, fragment);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ::send(fd, fragment.data(), fragment.size(), 0);
-    std::string received;
-    char buf[256];
-    ssize_t n;
-    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-      received.append(buf, static_cast<size_t>(n));
-    }
+    SendAll(fd, fragment);
+    std::string received = RecvUntilEof(fd);
     EXPECT_EQ(received, "err InvalidArgument: line exceeds 64 bytes\n");
     ::close(fd);
   }

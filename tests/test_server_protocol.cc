@@ -13,15 +13,11 @@
 // invisible as a transport. CI additionally runs this binary under
 // ThreadSanitizer (the tsan-service job).
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,84 +25,21 @@
 #include "frontend/server.h"
 #include "frontend/session.h"
 #include "gtest/gtest.h"
+#include "testing/line_client.h"
 
 namespace aqv {
 namespace {
-
-int ConnectTo(int port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  EXPECT_EQ(rc, 0) << std::strerror(errno);
-  return fd;
-}
-
-void SendAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
-}
-
-/// Reads until the peer closes (EOF) or errors.
-std::string RecvUntilEof(int fd) {
-  std::string received;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    received.append(buf, static_cast<size_t>(n));
-  }
-  return received;
-}
-
-bool IsTerminator(const std::string& line) {
-  return line == "ok" || line.rfind("err ", 0) == 0;
-}
 
 size_t CountTerminators(const std::string& stream) {
   size_t count = 0;
   size_t scanned = 0;
   size_t nl;
   while ((nl = stream.find('\n', scanned)) != std::string::npos) {
-    if (IsTerminator(stream.substr(scanned, nl - scanned))) ++count;
+    std::string line = stream.substr(scanned, nl - scanned);
+    if (line == "ok" || line.rfind("err ", 0) == 0) ++count;
     scanned = nl + 1;
   }
   return count;
-}
-
-/// Reads until `expected_terminators` terminator lines arrived (or EOF).
-std::string RecvResponses(int fd, size_t expected_terminators) {
-  std::string received;
-  size_t terminators = 0;
-  size_t scanned = 0;
-  char buf[4096];
-  while (terminators < expected_terminators) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    received.append(buf, static_cast<size_t>(n));
-    size_t nl;
-    while ((nl = received.find('\n', scanned)) != std::string::npos) {
-      if (IsTerminator(received.substr(scanned, nl - scanned))) ++terminators;
-      scanned = nl + 1;
-    }
-  }
-  return received;
-}
-
-std::string Roundtrip(int port, const std::vector<std::string>& commands) {
-  int fd = ConnectTo(port);
-  std::string request;
-  for (const std::string& c : commands) request += c + "\n";
-  SendAll(fd, request);
-  std::string received = RecvResponses(fd, commands.size());
-  ::close(fd);
-  return received;
 }
 
 /// The inline-Session ground truth for `commands`: what the server must
@@ -151,7 +84,7 @@ TEST(ServerProtocolTest, PipelinedScriptInOneWriteMatchesGroundTruth) {
   FrontendServer server;
   ASSERT_TRUE(server.Start().ok());
   std::string expected = GroundTruth(kMixedScript);
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   std::string request;
   for (const std::string& c : kMixedScript) request += c + "\n";
   SendAll(fd, request);  // the whole session in a single write
@@ -186,7 +119,7 @@ TEST(ServerProtocolTest, PipelinedLoadSplitIntoRunsMatchesGroundTruth) {
     script.push_back(probe);
   }
   std::string expected = GroundTruth(script);
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   std::string request;
   for (const std::string& c : script) request += c + "\n";
   SendAll(fd, request);
@@ -200,7 +133,7 @@ TEST(ServerProtocolTest, PipelinedLoadSplitIntoRunsMatchesGroundTruth) {
 TEST(ServerProtocolTest, PipelinedProbesDoNotWaitForDelayedAck) {
   FrontendServer server;
   ASSERT_TRUE(server.Start().ok());
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   // Lock-step round trips take the connection out of TCP quick-ack mode:
   // from here on the client delays its ACKs.
   for (int i = 0; i < 50; ++i) {
@@ -232,7 +165,7 @@ TEST(ServerProtocolTest, SlowLorisByteAtATimeMatchesGroundTruth) {
   const std::vector<std::string> script = {
       "view v(X) :- e(X).", "fact e(1).", "show views", "quit"};
   std::string expected = GroundTruth(script);
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   std::string request;
   for (const std::string& c : script) request += c + "\n";
   // One byte per send: every line crosses many reads, and the carry
@@ -255,7 +188,7 @@ TEST(ServerProtocolTest, PartialLineDisconnectLeavesServerHealthy) {
   // A client abandons an unterminated line. No response is owed for it
   // (the command never completed), and the server must carry on serving.
   {
-    int fd = ConnectTo(server.port());
+    int fd = ConnectLoopback(server.port());
     SendAll(fd, "show vi");  // no newline, ever
     ::shutdown(fd, SHUT_WR);
     std::string received = RecvUntilEof(fd);
@@ -265,7 +198,7 @@ TEST(ServerProtocolTest, PartialLineDisconnectLeavesServerHealthy) {
   // Completed lines pipelined *before* the abandoned fragment still get
   // their responses flushed on half-close.
   {
-    int fd = ConnectTo(server.port());
+    int fd = ConnectLoopback(server.port());
     SendAll(fd, "help\nshow vi");
     ::shutdown(fd, SHUT_WR);
     std::string received = RecvUntilEof(fd);
@@ -284,7 +217,7 @@ TEST(ServerProtocolTest, AbruptResetMidResponseLeavesServerHealthy) {
   // (SO_LINGER{on, 0} turns close() into an abort) while the server is
   // still writing. The write error must only kill that connection.
   for (int round = 0; round < 4; ++round) {
-    int fd = ConnectTo(server.port());
+    int fd = ConnectLoopback(server.port());
     std::string request;
     for (int i = 0; i < 64; ++i) request += "help\n";
     SendAll(fd, request);
@@ -311,16 +244,16 @@ TEST(ServerProtocolTest, ConnectionCapRefusesWithExactErrorAndRecovers) {
 
   // Fill the cap with two live connections (a served command proves each
   // is registered, not merely in the accept queue).
-  int held_a = ConnectTo(server.port());
+  int held_a = ConnectLoopback(server.port());
   SendAll(held_a, "show views\n");
   EXPECT_EQ(RecvResponses(held_a, 1), "(none)\nok\n");
-  int held_b = ConnectTo(server.port());
+  int held_b = ConnectLoopback(server.port());
   SendAll(held_b, "show views\n");
   EXPECT_EQ(RecvResponses(held_b, 1), "(none)\nok\n");
 
   // The third connection is refused with the documented terminator and
   // closed immediately.
-  int refused = ConnectTo(server.port());
+  int refused = ConnectLoopback(server.port());
   EXPECT_EQ(RecvUntilEof(refused),
             "err ResourceExhausted: connection limit (2) reached\n");
   ::close(refused);
@@ -347,7 +280,7 @@ TEST(ServerProtocolTest, IdleConnectionsAreClosedByTheTimeoutSweep) {
   options.idle_timeout_ms = 100;
   FrontendServer server(options);
   ASSERT_TRUE(server.Start().ok());
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   auto t0 = std::chrono::steady_clock::now();
   std::string received = RecvUntilEof(fd);  // server closes, no verdict line
   auto elapsed = std::chrono::steady_clock::now() - t0;
@@ -362,7 +295,7 @@ TEST(ServerProtocolTest, ActiveConnectionSurvivesTheIdleTimeout) {
   options.idle_timeout_ms = 300;
   FrontendServer server(options);
   ASSERT_TRUE(server.Start().ok());
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   // Gaps under the timeout, total well over it: activity must keep
   // resetting the idle clock.
   for (int i = 0; i < 8; ++i) {
@@ -409,7 +342,7 @@ TEST(ServerProtocolTest, StatsUnderConcurrentLoadStaysWellFormed) {
 TEST(ServerProtocolTest, PipelinedQuitStopsProcessingLaterCommands) {
   FrontendServer server;
   ASSERT_TRUE(server.Start().ok());
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   // Everything after `quit` must be discarded, not executed: exactly two
   // responses, then EOF.
   SendAll(fd, "show views\nquit\nview v(X) :- e(X).\nshow views\n");
@@ -431,7 +364,7 @@ ServerOptions TwoTenantOptions() {
 TEST(ServerProtocolTest, CommandsBeforeAuthAreRefused) {
   FrontendServer server(TwoTenantOptions());
   ASSERT_TRUE(server.Start().ok());
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   SendAll(fd, "show views\n");
   EXPECT_EQ(RecvResponses(fd, 1),
             "err Unauthenticated: authenticate first (auth <user> <token>)\n");
@@ -446,7 +379,7 @@ TEST(ServerProtocolTest, CommandsBeforeAuthAreRefused) {
 TEST(ServerProtocolTest, BadCredentialsAreRefusedWithoutKillingTheConn) {
   FrontendServer server(TwoTenantOptions());
   ASSERT_TRUE(server.Start().ok());
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   SendAll(fd, "auth alice wrong\n");
   EXPECT_EQ(RecvResponses(fd, 1),
             "err PermissionDenied: bad credentials for user 'alice'\n");
@@ -466,7 +399,7 @@ TEST(ServerProtocolTest, BadCredentialsAreRefusedWithoutKillingTheConn) {
 TEST(ServerProtocolTest, UnauthenticatedQuitStillCloses) {
   FrontendServer server(TwoTenantOptions());
   ASSERT_TRUE(server.Start().ok());
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   SendAll(fd, "quit\n");
   EXPECT_EQ(RecvUntilEof(fd), "ok\n");
   ::close(fd);
@@ -476,7 +409,7 @@ TEST(ServerProtocolTest, UnauthenticatedQuitStillCloses) {
 TEST(ServerProtocolTest, CommentsAndBlanksPassTheGateUnauthenticated) {
   FrontendServer server(TwoTenantOptions());
   ASSERT_TRUE(server.Start().ok());
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   // Comments and blank lines carry no authority: they reach the session
   // (which answers a bare `ok`) instead of being refused Unauthenticated.
   SendAll(fd, "% a comment\n\nauth bob hunter2\nquit\n");
@@ -488,7 +421,7 @@ TEST(ServerProtocolTest, CommentsAndBlanksPassTheGateUnauthenticated) {
 TEST(ServerProtocolTest, GateRefusalEndsARunOfDefinitions) {
   FrontendServer server(TwoTenantOptions());
   ASSERT_TRUE(server.Start().ok());
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   // One write: the gate refuses the first view (no auth yet), `auth`
   // is answered at the boundary, and the view and fact behind it run.
   SendAll(fd,
@@ -509,7 +442,7 @@ TEST(ServerProtocolTest, ReadOnlyRefusalEndsARunOfDefinitions) {
   options.accounts = {{"auditor", "tok", false}};
   FrontendServer server(options);
   ASSERT_TRUE(server.Start().ok());
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   SendAll(fd, "auth auditor tok\n");
   EXPECT_EQ(RecvResponses(fd, 1), "authenticated as auditor (read-only)\nok\n");
   // The comment runs; the view behind it is refused, not run with it.
@@ -527,7 +460,7 @@ TEST(ServerProtocolTest, ReadOnlyAccountsCannotMutate) {
   options.accounts = {{"auditor", "tok", false}};
   FrontendServer server(options);
   ASSERT_TRUE(server.Start().ok());
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   SendAll(fd, "auth auditor tok\n");
   EXPECT_EQ(RecvResponses(fd, 1), "authenticated as auditor (read-only)\nok\n");
   // Every row the command table refuses for read-only accounts; the gate
@@ -553,7 +486,7 @@ TEST(ServerProtocolTest, ReadOnlyAccountsCannotMutate) {
   // each: `quit` and `exit` end theirs).
   for (const Session::Command& row : Session::Commands()) {
     if (row.refused_read_only) continue;
-    int conn = ConnectTo(server.port());
+    int conn = ConnectLoopback(server.port());
     SendAll(conn, "auth auditor tok\n" + std::string(row.word) + "\nquit\n");
     std::string got = RecvUntilEof(conn);
     ::close(conn);
@@ -569,8 +502,8 @@ TEST(ServerProtocolTest, TenantsNeverSeeEachOthersViews) {
   ASSERT_TRUE(server.Start().ok());
   // Two authenticated tenants interleaved on live connections: alice's
   // schema must be invisible to bob throughout, and vice versa.
-  int alice = ConnectTo(server.port());
-  int bob = ConnectTo(server.port());
+  int alice = ConnectLoopback(server.port());
+  int bob = ConnectLoopback(server.port());
   SendAll(alice, "auth alice s3cret\n");
   EXPECT_EQ(RecvResponses(alice, 1), "authenticated as alice\nok\n");
   SendAll(bob, "auth bob hunter2\n");
@@ -610,7 +543,7 @@ TEST(ServerProtocolTest, StopMidWriteNeverTearsAResponse) {
   const std::string unit = GroundTruth({"help"});
   ASSERT_FALSE(unit.empty());
 
-  int fd = ConnectTo(server.port());
+  int fd = ConnectLoopback(server.port());
   std::string request;
   for (int i = 0; i < 200; ++i) request += "help\n";
   SendAll(fd, request);
@@ -636,8 +569,8 @@ TEST(ServerProtocolTest, StopMidWriteNeverTearsAResponse) {
 TEST(ServerProtocolTest, StopWithIdleAndMidLineConnectionsIsClean) {
   FrontendServer server;
   ASSERT_TRUE(server.Start().ok());
-  int idle = ConnectTo(server.port());
-  int midline = ConnectTo(server.port());
+  int idle = ConnectLoopback(server.port());
+  int midline = ConnectLoopback(server.port());
   SendAll(midline, "show vi");  // unterminated carry at Stop time
   std::thread stopper([&] { server.Stop(); });
   EXPECT_EQ(RecvUntilEof(idle), "");

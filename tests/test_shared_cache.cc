@@ -1,20 +1,13 @@
 // Property tests of the shared cross-connection rewriting caches: the
-// catalog-independent encodings (cq/global_symbols.h + GlobalFingerprint),
-// the server-lifetime ContainmentOracle surviving the catalogs that fed
-// it, and the end-to-end equivalence contract of frontend/server.h —
-// share_cache on (1 shard and N shards) and off must produce bit-identical
-// wire responses on replayed generator workloads, with the caches actually
-// hitting on repeats and never serving a stale plan across view-set
-// mutations. CI additionally runs this binary under ThreadSanitizer (the
-// tsan-service job).
+// catalog-independent canonical encoding (cq/global_symbols.h +
+// GlobalCanonicalEncoding), the server-lifetime ContainmentOracle
+// surviving the catalogs that fed it, and the end-to-end equivalence
+// contract of frontend/server.h — share_cache on (1 shard and N shards)
+// and off must produce bit-identical wire responses on replayed generator
+// workloads, with the caches actually hitting on repeats and never
+// serving a stale plan across view-set mutations. CI additionally runs
+// this binary under ThreadSanitizer (the tsan-service job).
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -31,46 +24,11 @@
 #include "gtest/gtest.h"
 #include "service/plan_cache.h"
 #include "testing/differential.h"
+#include "testing/line_client.h"
 #include "workload/generator.h"
 
 namespace aqv {
 namespace {
-
-// --- TCP plumbing (as in test_frontend_server.cc) ----------------------
-
-int ConnectTo(int port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-  EXPECT_EQ(rc, 0) << std::strerror(errno);
-  return fd;
-}
-
-/// Sends `lines` in one write and reads to EOF (every script ends in
-/// `quit`, so the server closes when done).
-std::string RunScript(int port, const std::vector<std::string>& lines) {
-  int fd = ConnectTo(port);
-  std::string request;
-  for (const std::string& line : lines) request += line + "\n";
-  size_t sent = 0;
-  while (sent < request.size()) {
-    ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) break;
-    sent += static_cast<size_t>(n);
-  }
-  std::string received;
-  char buf[8192];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    received.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return received;
-}
 
 /// The inline-Session ground truth: the byte stream a transport-free
 /// replay of `lines` produces (server session semantics: load disabled,
@@ -90,10 +48,10 @@ std::string GroundTruth(const std::vector<std::string>& lines) {
 
 // --- catalog-independent encodings -------------------------------------
 
-TEST(SharedCacheTest, GlobalFingerprintAgreesAcrossCatalogs) {
+TEST(SharedCacheTest, CanonicalEncodingAgreesAcrossCatalogs) {
   // Parse the same query into two catalogs whose local dense ids diverge
-  // (the second catalog interns unrelated predicates first): the local
-  // fingerprints may differ, the global ones must not.
+  // (the second catalog interns unrelated predicates first): the
+  // encodings, keyed on global ids, must not.
   Catalog a;
   auto qa = ParseQuery("q(X, Z) :- e(X, Y), f(Y, Z).", &a);
   ASSERT_TRUE(qa.ok());
@@ -106,7 +64,6 @@ TEST(SharedCacheTest, GlobalFingerprintAgreesAcrossCatalogs) {
   ASSERT_TRUE(qb.ok());
 
   EXPECT_EQ(GlobalCanonicalEncoding(*qa), GlobalCanonicalEncoding(*qb));
-  EXPECT_EQ(GlobalFingerprint(*qa), GlobalFingerprint(*qb));
 
   // A structurally different query must not collide on the encoding.
   auto other = ParseQuery("q(X, Z) :- e(X, Y), e(Y, Z).", &b);
@@ -218,7 +175,7 @@ TEST(SharedCacheTest, CacheModesAreByteIdenticalOnPinnedSeeds) {
     for (int s = 0; s < 3; ++s) {
       for (int c = 0; c < 2; ++c) {
         clients.emplace_back([&, s, c] {
-          responses[s][c] = RunScript(servers[s]->port(), lines);
+          responses[s][c] = Roundtrip(servers[s]->port(), lines);
         });
       }
     }
@@ -264,7 +221,7 @@ TEST(SharedCacheTest, RepeatedScriptsHitThePlanCacheAcrossConnections) {
       "rewrite with minicon",
       "answer route complete with lmss",  // not plan-cached: engine runs every time
       "quit"};
-  std::string first = RunScript(server.port(), script);
+  std::string first = Roundtrip(server.port(), script);
   PlanCacheStats after_first = server.plan_cache().stats();
   OracleStats oracle_first = server.oracle().stats();
   EXPECT_EQ(after_first.hits, 0u);
@@ -272,7 +229,7 @@ TEST(SharedCacheTest, RepeatedScriptsHitThePlanCacheAcrossConnections) {
 
   // A brand-new connection (fresh session, fresh catalog) repeating the
   // problem is answered from the cache, byte-identically.
-  std::string second = RunScript(server.port(), script);
+  std::string second = Roundtrip(server.port(), script);
   PlanCacheStats after_second = server.plan_cache().stats();
   EXPECT_EQ(second, first);
   EXPECT_GE(after_second.hits, 2u);
@@ -310,7 +267,7 @@ TEST(SharedCacheTest, ViewMutationsInvalidateCachedPlans) {
       "rewrite with lmss",  // rebuilt problem: again a fresh key
       "quit"};
   std::string expected = GroundTruth(script);
-  std::string response = RunScript(server.port(), script);
+  std::string response = Roundtrip(server.port(), script);
   EXPECT_EQ(response, expected);
 
   PlanCacheStats stats = server.plan_cache().stats();
