@@ -19,18 +19,16 @@
 /// PR 10 adds the epoll TCP server sweeps:
 ///
 ///   BM_F10_ServerManyConnections/N   N concurrent clients replaying one
-///                          scenario script against a single shared-cache
-///                          server (N = 1..128; the epoll loop multiplexes
-///                          all of them onto one worker pool) — aggregate
-///                          commands/s.
+///                          scenario script against a single server (N =
+///                          1..128; the epoll loop multiplexes all of them
+///                          onto one worker pool) — aggregate commands/s.
 ///   BM_F10_ServerRepeatedQueryHitRate/N  the shared-schema repeated-query
 ///                          regime: N successive connections re-issuing the
 ///                          same rewrite/answer probes through the shared
-///                          oracle + plan cache, byte-compared against a
-///                          per-connection-cache server on every repeat.
-///                          Counters surface the steady-state oracle, plan,
-///                          and combined hit rates and the byte_identical
-///                          attestation.
+///                          plan cache, each byte-compared against the
+///                          first, cold-cache connection. Counters surface
+///                          the steady-state plan hit rate and the
+///                          byte_identical attestation.
 
 #include <benchmark/benchmark.h>
 
@@ -168,7 +166,6 @@ void RunServerManyConnections(benchmark::State& state) {
   const size_t commands_per_conn = static_cast<size_t>(
       std::count(request.begin(), request.end(), '\n'));
   ServerOptions options;
-  options.share_cache = true;
   options.max_connections = 256;
   FrontendServer server(options);
   if (!server.Start().ok()) {
@@ -203,7 +200,6 @@ void RunServerManyConnections(benchmark::State& state) {
   state.counters["clients"] = static_cast<double>(clients);
   state.counters["commands_per_conn"] =
       static_cast<double>(commands_per_conn);
-  state.counters["oracle_hit_rate"] = server.oracle().stats().hit_rate();
   state.counters["plan_hit_rate"] = server.plan_cache().stats().hit_rate();
   server.Stop();
 }
@@ -211,47 +207,33 @@ void RunServerManyConnections(benchmark::State& state) {
 void RunServerRepeatedQueryHitRate(benchmark::State& state) {
   const int repeats = static_cast<int>(state.range(0));
   const std::string request = ProbedRequest("warehouse", /*db_size=*/50);
-  ServerOptions shared;
-  shared.share_cache = true;
-  ServerOptions isolated;
-  isolated.share_cache = false;
-  FrontendServer shared_server(shared);
-  FrontendServer isolated_server(isolated);
-  if (!shared_server.Start().ok() || !isolated_server.Start().ok()) {
+  FrontendServer server;
+  if (!server.Start().ok()) {
     state.SkipWithError("server start failed");
     return;
   }
-  bool identical = true;
+  // The first connection runs every engine against a cold plan cache; its
+  // bytes are what every later, cache-hitting connection must reproduce.
+  const std::string cold = ReplayOverTcp(server.port(), request);
+  bool identical = !cold.empty();
   for (auto _ : state) {
     for (int r = 0; r < repeats; ++r) {
       // A fresh connection per repeat: the hits below are genuinely
-      // cross-connection (each repeat's catalog is new), and every repeat
-      // is byte-compared against the per-connection-cache server.
-      std::string cached = ReplayOverTcp(shared_server.port(), request);
-      std::string uncached = ReplayOverTcp(isolated_server.port(), request);
-      identical = identical && !cached.empty() && cached == uncached;
+      // cross-connection (each repeat's catalog is new).
+      std::string cached = ReplayOverTcp(server.port(), request);
+      identical = identical && cached == cold;
       benchmark::DoNotOptimize(cached);
     }
   }
   if (!identical) {
-    state.SkipWithError("shared-cache response diverged from per-conn run");
+    state.SkipWithError("cached response diverged from the cold run");
     return;
   }
-  OracleStats oracle = shared_server.oracle().stats();
-  PlanCacheStats plans = shared_server.plan_cache().stats();
-  const double lookups =
-      static_cast<double>(oracle.lookups() + plans.lookups());
   state.SetItemsProcessed(state.iterations() * repeats);
   state.counters["repeats"] = static_cast<double>(repeats);
-  state.counters["oracle_hit_rate"] = oracle.hit_rate();
-  state.counters["plan_hit_rate"] = plans.hit_rate();
-  state.counters["combined_hit_rate"] =
-      lookups == 0.0
-          ? 0.0
-          : static_cast<double>(oracle.hits + plans.hits) / lookups;
+  state.counters["plan_hit_rate"] = server.plan_cache().stats().hit_rate();
   state.counters["byte_identical"] = 1.0;
-  shared_server.Stop();
-  isolated_server.Stop();
+  server.Stop();
 }
 
 void RegisterAll() {

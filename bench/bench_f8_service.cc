@@ -1,22 +1,22 @@
 /// F8 — Batch throughput of the concurrent rewriting service: worker count
-/// × oracle shard count × batch size, against the serial baseline the
-/// service replaces (direct per-request RewritingEngine calls). Per-request
-/// latency has an NP-hardness floor (PAPER.md Thms 3.1/3.3), so the service
-/// wins on throughput via two separable mechanisms, each with its own
-/// baseline here:
+/// × batch size, against the serial baseline the service replaces (direct
+/// per-request RewritingEngine calls). Per-request latency has an
+/// NP-hardness floor (PAPER.md Thms 3.1/3.3), so the service wins on
+/// throughput through parallelism alone; the opt-in containment oracle
+/// keeps a serial arm of its own:
 ///
 ///   BM_F8_SerialBaseline      direct calls, no cache — the pre-service
 ///                             state of the world.
-///   BM_F8_SerialSharedOracle  direct calls sharing one oracle — isolates
-///                             the cross-request memoization win.
-///   BM_F8_ServiceCold         fresh service per iteration (thread spawn +
-///                             cold cache included) — one-shot batch cost.
-///   BM_F8_ServiceSteady       one long-lived service, warm cache — the
-///                             steady-state regime of a resident server.
+///   BM_F8_SerialSharedOracle  direct calls sharing one caller-owned
+///                             oracle — the opt-in memoization path.
+///   BM_F8_ServiceCold         fresh service per iteration (thread spawn
+///                             included) — one-shot batch cost.
+///   BM_F8_ServiceSteady       one long-lived service — the steady-state
+///                             regime of a resident server.
 ///
 /// All variants process identical mixed-scenario batches from
 /// MakeBatchFromScenarios, so items/s numbers compare directly; counters
-/// surface the service's own ServiceStats (throughput, p50/p95, hit rate).
+/// surface the service's own ServiceStats (throughput, p50/p95).
 
 #include <benchmark/benchmark.h>
 
@@ -51,7 +51,6 @@ void ReportServiceStats(benchmark::State& state, const ServiceStats& stats) {
   state.counters["throughput_rps"] = stats.throughput_rps;
   state.counters["p50_ms"] = stats.p50_ms;
   state.counters["p95_ms"] = stats.p95_ms;
-  state.counters["oracle_hit_rate"] = stats.oracle.hit_rate();
 }
 
 void RunSerial(benchmark::State& state, int repeats, bool shared_oracle) {
@@ -76,15 +75,13 @@ void RunSerial(benchmark::State& state, int repeats, bool shared_oracle) {
   }
 }
 
-void RunServiceCold(benchmark::State& state, int repeats, int workers,
-                    size_t shards) {
+void RunServiceCold(benchmark::State& state, int repeats, int workers) {
   std::unique_ptr<ScenarioRequestBatch> batch = MakeBatch(repeats);
   std::vector<ServiceRequest> requests = ToServiceRequests(*batch);
   ServiceStats last;
   for (auto _ : state) {
     ServiceOptions options;
     options.num_workers = workers;
-    options.oracle_shards = shards;
     RewriteService service(options);
     BatchResult result;
     if (!bench::UnwrapOrSkip(service.RewriteBatch(requests), state, &result)) {
@@ -98,13 +95,11 @@ void RunServiceCold(benchmark::State& state, int repeats, int workers,
   ReportServiceStats(state, last);
 }
 
-void RunServiceSteady(benchmark::State& state, int repeats, int workers,
-                      size_t shards) {
+void RunServiceSteady(benchmark::State& state, int repeats, int workers) {
   std::unique_ptr<ScenarioRequestBatch> batch = MakeBatch(repeats);
   std::vector<ServiceRequest> requests = ToServiceRequests(*batch);
   ServiceOptions options;
   options.num_workers = workers;
-  options.oracle_shards = shards;
   RewriteService service(options);
   ServiceStats last;
   for (auto _ : state) {
@@ -120,13 +115,13 @@ void RunServiceSteady(benchmark::State& state, int repeats, int workers,
   ReportServiceStats(state, last);
 }
 
-/// PR 10: the repeated-query regime of a resident server — fresh sessions
-/// (fresh catalogs) re-running identical rewrite probes against one
-/// server-lifetime oracle + plan cache. `repeats` is the curve axis; the
-/// steady-state combined hit rate should approach 1 as repeats grow,
-/// because only the first session pays for engine runs (the
-/// catalog-independent encodings make every later session's probes exact
-/// cache hits despite their brand-new catalogs).
+/// The repeated-query regime of a resident server — fresh sessions (fresh
+/// catalogs) re-running identical rewrite probes against one
+/// server-lifetime plan cache, deciding containment directly as the
+/// server does. `repeats` is the curve axis; the plan hit rate approaches
+/// 1 as repeats grow, because only the first session pays for rewrite
+/// engine runs (plan-cache keys are rendered text, so every later
+/// session's probes hit despite their brand-new catalogs).
 void RunSharedCacheRepeats(benchmark::State& state, int repeats) {
   std::vector<std::string> script;
   {
@@ -143,16 +138,14 @@ void RunSharedCacheRepeats(benchmark::State& state, int repeats) {
   }
   script.push_back("rewrite with lmss");
   script.push_back("rewrite with minicon");
-  // Answers are never plan-cached, so this probe keeps every repeat
-  // consulting the containment oracle (the lmss route poses containment
-  // questions even when the rewrite itself was a plan-cache hit).
+  // Answers are never plan-cached, so this probe runs the engine on every
+  // repeat (the lmss route poses containment questions even when the
+  // rewrite itself was a plan-cache hit).
   script.push_back("answer route complete with lmss");
-  ContainmentOracle oracle(size_t{1} << 20, /*num_shards=*/8);
   RewritePlanCache plans;
   for (auto _ : state) {
     for (int r = 0; r < repeats; ++r) {
       SessionOptions options;
-      options.engine.oracle = &oracle;
       options.plan_cache = &plans;
       Session session(options);
       for (const std::string& line : script) {
@@ -165,17 +158,8 @@ void RunSharedCacheRepeats(benchmark::State& state, int repeats) {
       }
     }
   }
-  OracleStats ostats = oracle.stats();
-  PlanCacheStats pstats = plans.stats();
-  const double lookups =
-      static_cast<double>(ostats.lookups() + pstats.lookups());
   state.SetItemsProcessed(state.iterations() * repeats);
-  state.counters["oracle_hit_rate"] = ostats.hit_rate();
-  state.counters["plan_hit_rate"] = pstats.hit_rate();
-  state.counters["combined_hit_rate"] =
-      lookups == 0.0
-          ? 0.0
-          : static_cast<double>(ostats.hits + pstats.hits) / lookups;
+  state.counters["plan_hit_rate"] = plans.stats().hit_rate();
 }
 
 std::string BatchTag(int repeats) {
@@ -200,27 +184,24 @@ void RegisterAll() {
                                  })
         ->Unit(benchmark::kMillisecond);
     for (int workers : {1, 2, 4, 8}) {
-      for (size_t shards : {size_t{1}, size_t{8}}) {
-        std::string suffix = "/workers:" + std::to_string(workers) +
-                             "/shards:" + std::to_string(shards) +
-                             BatchTag(repeats);
-        std::string cold = "BM_F8_ServiceCold" + suffix;
-        benchmark::RegisterBenchmark(
-            cold.c_str(),
-            [repeats, workers, shards](benchmark::State& state) {
-              RunServiceCold(state, repeats, workers, shards);
-            })
-            ->Unit(benchmark::kMillisecond)
-            ->UseRealTime();
-        std::string steady = "BM_F8_ServiceSteady" + suffix;
-        benchmark::RegisterBenchmark(
-            steady.c_str(),
-            [repeats, workers, shards](benchmark::State& state) {
-              RunServiceSteady(state, repeats, workers, shards);
-            })
-            ->Unit(benchmark::kMillisecond)
-            ->UseRealTime();
-      }
+      std::string suffix =
+          "/workers:" + std::to_string(workers) + BatchTag(repeats);
+      std::string cold = "BM_F8_ServiceCold" + suffix;
+      benchmark::RegisterBenchmark(
+          cold.c_str(),
+          [repeats, workers](benchmark::State& state) {
+            RunServiceCold(state, repeats, workers);
+          })
+          ->Unit(benchmark::kMillisecond)
+          ->UseRealTime();
+      std::string steady = "BM_F8_ServiceSteady" + suffix;
+      benchmark::RegisterBenchmark(
+          steady.c_str(),
+          [repeats, workers](benchmark::State& state) {
+            RunServiceSteady(state, repeats, workers);
+          })
+          ->Unit(benchmark::kMillisecond)
+          ->UseRealTime();
     }
   }
   for (int repeats : {2, 8, 32}) {
@@ -239,7 +220,7 @@ void RegisterAll() {
 
 int main(int argc, char** argv) {
   aqv::bench::Banner("F8", "concurrent batch-rewriting service: workers x "
-                           "shards x batch vs the serial baseline");
+                           "batch vs the serial baseline");
   aqv::RegisterAll();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

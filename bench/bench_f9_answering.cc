@@ -13,8 +13,7 @@
 ///   BM_F9_CostPlanned   ChooseBestPlan across the planner's default
 ///                       engine list, then execute the cheapest plan.
 ///   BM_F9_ServiceBatch  the whole route × engine grid as one answering
-///                       batch on the concurrent service (shared pool +
-///                       sharded oracle).
+///                       batch on the concurrent service's shared pool.
 ///
 /// All variants answer the same seeded scenarios on the same data, so
 /// items/s and the `answers` counters compare directly; `exact` reports
@@ -112,7 +111,6 @@ void RunServiceBatch(benchmark::State& state, int workers) {
   state.counters["throughput_rps"] = last.throughput_rps;
   state.counters["p50_ms"] = last.p50_ms;
   state.counters["p95_ms"] = last.p95_ms;
-  state.counters["oracle_hit_rate"] = last.oracle.hit_rate();
 }
 
 void F9Args(benchmark::internal::Benchmark* b) {

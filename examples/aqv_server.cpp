@@ -1,6 +1,6 @@
 // aqv_server — the TCP line-protocol front door (frontend/server.h): N
 // concurrent clients, each with its own Session, all sharing one
-// RewriteService worker pool and sharded containment oracle.
+// RewriteService worker pool and one rewriting-plan cache.
 //
 //   $ ./aqv_server [port] [workers]
 //   listening on 127.0.0.1:7461

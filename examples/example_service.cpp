@@ -1,11 +1,11 @@
 // The concurrent batch-rewriting service end to end: synthesize a mixed
-// scenario × engine batch, run it on a worker pool sharing one sharded
-// containment oracle, and read the aggregate ServiceStats.
+// scenario × engine batch, run it on a worker pool, and read the
+// aggregate ServiceStats.
 //
 //   $ ./example_service
 //
-// See docs/OPERATIONS.md for tuning worker/shard counts and interpreting
-// the stats this prints.
+// See docs/OPERATIONS.md for tuning the worker count and interpreting the
+// stats this prints.
 
 #include <cstdio>
 
@@ -30,10 +30,9 @@ int main() {
   std::printf("batch: %zu requests (%zu scenarios x %zu engines x 2)\n\n",
               batch.size(), ScenarioNames().size(), EngineNames().size());
 
-  // 2. A service: 4 workers sharing one 8-shard containment oracle.
+  // 2. A service: 4 workers, each deciding containment directly.
   ServiceOptions options;
   options.num_workers = 4;
-  options.oracle_shards = 8;
   RewriteService service(options);
 
   auto result = service.RewriteBatch(ToServiceRequests(batch));
@@ -53,8 +52,7 @@ int main() {
                 r.latency_ms);
   }
 
-  // 4. The aggregate: throughput, tail latency, and how much containment
-  //    work the shared oracle absorbed.
+  // 4. The aggregate: throughput and tail latency.
   const ServiceStats& s = result.value().stats;
   std::printf("\nServiceStats\n");
   std::printf("  requests     %llu (%llu ok, %llu failed)\n",
@@ -65,8 +63,5 @@ int main() {
               s.wall_ms, s.throughput_rps, s.num_workers);
   std::printf("  latency      p50 %.3f ms   p95 %.3f ms   max %.3f ms\n",
               s.p50_ms, s.p95_ms, s.max_ms);
-  std::printf("  oracle       %llu lookups, %.1f%% hits (%zu shards)\n",
-              static_cast<unsigned long long>(s.oracle.lookups()),
-              100.0 * s.oracle.hit_rate(), s.oracle_shards);
   return 0;
 }

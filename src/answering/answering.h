@@ -91,7 +91,7 @@ struct AnswerRequest {
   /// Engine registry name (kCompleteRewriting; EngineNames()).
   std::string engine = "minicon";
   AnswerRoute route = AnswerRoute::kCompleteRewriting;
-  /// Engine knobs + the shared containment oracle.
+  /// Engine knobs, including an optional containment oracle.
   EngineOptions options;
   EvalOptions eval;
 };

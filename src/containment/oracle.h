@@ -1,29 +1,35 @@
 /// \file
-/// Memoized containment oracle: the shared cache every rewriting engine
-/// routes its IsContainedIn / AreEquivalent calls through. Entries are
-/// keyed by 64-bit hashes of the (sub, super) *catalog-independent
-/// canonical encodings* (GlobalCanonicalEncoding in cq/query.h) and
-/// confirmed by exact encoding comparison, so a cache hit is always sound
-/// — hash collisions degrade to misses, never to wrong answers. Because
-/// the encodings name predicates and constants by their process-global
-/// interned ids (cq/global_symbols.h) rather than catalog-local dense ids,
-/// entries carry no catalog pointer and survive the catalogs that produced
-/// them: one server-lifetime oracle soundly serves every short-lived
-/// per-connection catalog, and structurally-identical queries parsed into
-/// different catalogs hit each other's entries. Wire an oracle into a
-/// pipeline by setting ContainmentOptions::oracle; every call site that
-/// threads those options (minimization, candidate verification,
-/// subsumption pruning, the engine searches) then shares one cache.
+/// Memoized containment oracle: an opt-in cache that a caller may route a
+/// pipeline's IsContainedIn / AreEquivalent calls through. The serving
+/// path does not use one — the server and the service decide every
+/// containment check directly, because encoding, hashing and storing
+/// each pair costs more than the homomorphism search it saves on their
+/// workloads. The differential mirror (testing/differential.h) and the
+/// end-to-end benchmark's in-process replays do, so every replay
+/// byte-compares memoized decisions against the server's direct ones.
+///
+/// Entries are keyed by 64-bit hashes of the (sub, super)
+/// *catalog-independent canonical encodings* (GlobalCanonicalEncoding in
+/// cq/query.h) and confirmed by exact encoding comparison, so a cache hit
+/// is always sound — hash collisions degrade to misses, never to wrong
+/// answers. Because the encodings name predicates and constants by their
+/// process-global interned ids (cq/global_symbols.h) rather than
+/// catalog-local dense ids, entries carry no catalog pointer and survive
+/// the catalogs that produced them, and structurally-identical queries
+/// parsed into different catalogs hit each other's entries. Wire an
+/// oracle into a pipeline by setting ContainmentOptions::oracle (or
+/// EngineOptions::oracle); every call site that threads those options
+/// (minimization, candidate verification, subsumption pruning, the engine
+/// searches) then shares one cache.
 ///
 /// Thread safety: the oracle is internally sharded — both the form cache
 /// and the decision cache are sliced by fingerprint across `num_shards`
 /// shards, each guarded by its own mutex and holding its own slice of the
 /// entry budget — so any number of threads may call IsContainedIn on one
-/// shared oracle concurrently (the service layer in src/service/ does
-/// exactly that). Stats counters are relaxed atomics: exact under a
-/// single thread, and never torn (only momentarily inconsistent relative
-/// to each other) under many. Clear() and ResetStats() are the only
-/// exceptions: they must not race concurrent lookups.
+/// shared oracle concurrently. Stats counters are relaxed atomics: exact
+/// under a single thread, and never torn (only momentarily inconsistent
+/// relative to each other) under many. Clear() and ResetStats() are the
+/// only exceptions: they must not race concurrent lookups.
 
 #ifndef AQV_CONTAINMENT_ORACLE_H_
 #define AQV_CONTAINMENT_ORACLE_H_
@@ -68,9 +74,8 @@ struct OracleStats {
 /// Counter-wise difference (for per-request deltas of a shared oracle).
 OracleStats operator-(const OracleStats& after, const OracleStats& before);
 
-/// \brief Memoizes containment decisions across a rewriting session — or a
-/// whole server lifetime — safely shareable across threads and across
-/// catalogs.
+/// \brief Memoizes containment decisions for as long as its owner keeps
+/// it, safely shareable across threads and across catalogs.
 ///
 /// The key of a (sub, super) pair combines the hashes of the two
 /// catalog-independent canonical encodings; each bucket holds the

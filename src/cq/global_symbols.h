@@ -8,9 +8,8 @@
 /// the process. Two queries parsed into different catalogs from the same
 /// surface text therefore agree on every global id, which is what lets
 /// their GlobalCanonicalEncoding (cq/query.h) — the key of the
-/// containment oracle (containment/oracle.h) — match across connections
-/// of the multiplexed frontend server: one server-lifetime cache, many
-/// short-lived per-connection catalogs.
+/// containment oracle (containment/oracle.h) — match across catalogs: one
+/// oracle may outlive, and serve, many short-lived catalogs.
 ///
 /// Thread safety: catalogs are single-threaded, but distinct catalogs
 /// intern concurrently (one per live server connection), so the global

@@ -73,8 +73,6 @@ struct FrontendServer::Conn {
   std::string user;
   Clock::time_point last_activity;
   uint32_t interest = 0;
-  /// The connection-private oracle of `share_cache = false` mode.
-  std::unique_ptr<ContainmentOracle> own_oracle;
   std::unique_ptr<Session> session;
 
   /// Lines queued or in flight: what `max_pipelined` bounds. A run's
@@ -368,15 +366,8 @@ void FrontendServer::AcceptReady() {
     SessionOptions session_options = options_.session;
     session_options.service = service_.get();
     session_options.enable_load = false;
-    if (options_.share_cache) {
-      session_options.engine.oracle = &service_->oracle();
-      session_options.plan_cache = plan_cache_.get();
-    } else {
-      conn->own_oracle = std::make_unique<ContainmentOracle>(
-          options_.service.oracle_max_entries, options_.service.oracle_shards);
-      session_options.engine.oracle = conn->own_oracle.get();
-      session_options.plan_cache = nullptr;
-    }
+    session_options.engine.oracle = nullptr;
+    session_options.plan_cache = plan_cache_.get();
     conn->session = std::make_unique<Session>(session_options);
     epoll_event ev{};
     ev.events = EPOLLIN;

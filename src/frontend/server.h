@@ -11,15 +11,13 @@
 /// through, executed in order with every response sent in one write —
 /// so a pipelined problem load pays one pool round trip, not one per
 /// line. Every other line is a task of its own, and the service counts
-/// every line of a run as one command. All connections share two
-/// server-lifetime caches: one sharded ContainmentOracle and one
-/// RewritePlanCache (service/plan_cache.h). This is sound because oracle
-/// entries are keyed by catalog-independent canonical encodings
-/// (containment/oracle.h) and plan-cache keys embed the complete rendered
-/// problem statement — so a query repeated on any connection against the
-/// same schema is a cache hit, and responses stay byte-identical to an
-/// uncached run. Set `share_cache = false` to restore fully isolated
-/// per-connection oracles (the differential harness replays both modes).
+/// every line of a run as one command. All connections share one
+/// server-lifetime cache, the RewritePlanCache (service/plan_cache.h).
+/// Its keys embed the complete rendered problem statement, so a query
+/// repeated on any connection against the same schema is a cache hit, and
+/// responses stay byte-identical to an uncached run. Nothing else
+/// outlives a command: every containment check a command makes runs the
+/// homomorphism or linearization test directly, with no oracle.
 ///
 /// Protocol (one command per '\n'-terminated line, as in aqvsh):
 ///
@@ -35,7 +33,7 @@
 /// frontend emits is ever the bare word `ok` or starts with `err `, so a
 /// client can parse responses by scanning for the terminator
 /// (RenderWireResponse in frontend/session.h renders them). `show stats`
-/// surfaces the shared service, oracle, and plan-cache counters; `quit`
+/// surfaces the shared service and plan-cache counters; `quit`
 /// answers `ok` and closes the connection. `load` is disabled on server
 /// sessions — scripts run client-side. When `accounts` is non-empty the
 /// server additionally requires an `auth <user> <token>` handshake before
@@ -61,7 +59,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "containment/oracle.h"
 #include "frontend/session.h"
 #include "service/plan_cache.h"
 #include "service/service.h"
@@ -105,19 +102,12 @@ struct ServerOptions {
   /// always run to completion).
   int drain_timeout_ms = 2'000;
   /// The backing RewriteService (worker pool). Each run of definitions,
-  /// and each other command, executes inline as one task on it. With
-  /// `share_cache`, the service's own oracle is the server-lifetime
-  /// shared oracle; its `oracle_shards` and `oracle_max_entries` also
-  /// size the per-connection oracles otherwise.
+  /// and each other command, executes inline as one task on it.
   ServiceOptions service;
   /// Template for per-connection sessions; `service` (the `show stats`
-  /// source), `enable_load`, `engine.oracle`, and `plan_cache` are
-  /// overwritten.
+  /// source), `enable_load`, `engine.oracle` (cleared: the server decides
+  /// containment directly), and `plan_cache` are overwritten.
   SessionOptions session;
-  /// True (default): all connections share one server-lifetime oracle and
-  /// rewriting-plan cache. False: per-connection oracles, no plan cache —
-  /// the pre-shared-cache behavior, kept for differential replay.
-  bool share_cache = true;
   /// Total entry budget / shard count of the shared plan cache.
   size_t plan_cache_max_entries = size_t{1} << 16;
   size_t plan_cache_shards = 8;
@@ -126,12 +116,12 @@ struct ServerOptions {
 };
 
 /// \brief Epoll-multiplexed line-protocol TCP server over per-connection
-/// Sessions, one shared RewriteService pool, and server-lifetime rewriting
-/// caches. Thread model: one event-loop thread owns every socket and all
-/// connection state; command execution happens on the service's workers
-/// (at most one in-flight task per connection, so each Session is
-/// touched by one thread at a time); completions return to the loop
-/// through an eventfd. Start/Stop may be called from any thread, once
+/// Sessions, one shared RewriteService pool, and a server-lifetime
+/// rewriting-plan cache. Thread model: one event-loop thread owns every
+/// socket and all connection state; command execution happens on the
+/// service's workers (at most one in-flight task per connection, so each
+/// Session is touched by one thread at a time); completions return to the
+/// loop through an eventfd. Start/Stop may be called from any thread, once
 /// each (Stop is also run by the destructor).
 class FrontendServer {
  public:
@@ -154,10 +144,7 @@ class FrontendServer {
   int port() const { return port_; }
   const ServerOptions& options() const { return options_; }
   RewriteService& service() { return *service_; }
-  /// The server-lifetime caches every connection shares (when
-  /// `share_cache`; otherwise constructed but unused). The oracle is the
-  /// service's own.
-  ContainmentOracle& oracle() { return service_->oracle(); }
+  /// The server-lifetime plan cache every connection shares.
   RewritePlanCache& plan_cache() { return *plan_cache_; }
   uint64_t connections_accepted() const { return accepted_.load(); }
 

@@ -251,12 +251,7 @@ Session::CommandLine Session::ParseCommand(std::string_view line) {
 Session::Session(SessionOptions options)
     : options_(std::move(options)),
       catalog_(std::make_unique<Catalog>()),
-      base_(catalog_.get()) {
-  // Resolved once, so engine calls and `show stats` see the same oracle.
-  if (options_.engine.oracle == nullptr && options_.service != nullptr) {
-    options_.engine.oracle = &options_.service->oracle();
-  }
-}
+      base_(catalog_.get()) {}
 
 CommandResult Session::Execute(std::string_view line) {
   CommandLine parsed = ParseCommand(line);
@@ -511,8 +506,7 @@ CommandResult Session::CmdStats(const std::string&) {
     AppendLine(&out, "service: requests=" + std::to_string(ss.requests) +
                          " ok=" + std::to_string(ss.ok) +
                          " failed=" + std::to_string(ss.failed) +
-                         " workers=" + std::to_string(ss.num_workers) +
-                         " shards=" + std::to_string(ss.oracle_shards));
+                         " workers=" + std::to_string(ss.num_workers));
   }
   return Say(std::move(out));
 }

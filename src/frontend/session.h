@@ -74,11 +74,10 @@ struct SessionOptions {
   /// Engine knobs (oracle, containment budgets, per-strategy limits)
   /// applied to every rewrite/answer/explain the session runs.
   EngineOptions engine;
-  /// When set, `show stats` reports this service's lifetime counters, and
-  /// a session without `engine.oracle` runs every engine call against the
-  /// service's shared oracle. Commands still execute inline on the calling
-  /// thread (the TCP server already calls Execute on a pool worker). The
-  /// pointee must outlive the session.
+  /// When set, `show stats` reports this service's lifetime counters.
+  /// Commands still execute inline on the calling thread (the TCP server
+  /// already calls Execute on a pool worker). The pointee must outlive
+  /// the session.
   RewriteService* service = nullptr;
   /// When set, `rewrite` consults and populates this shared rewriting-plan
   /// cache (service/plan_cache.h): an exact repeat of (engine, options,

@@ -15,15 +15,15 @@
 ///     stale plans can never be returned — they merely age out of the
 ///     budget.
 ///
-/// Thread safety: sharded like the ContainmentOracle — key hash picks the
-/// shard, each shard has its own mutex and slice of the entry budget; any
-/// number of sessions may Lookup/Insert concurrently. Stats counters are
-/// relaxed atomics. Clear() and ResetStats() must not race lookups.
+/// Thread safety: sharded — key hash picks the shard, each shard has its
+/// own mutex and slice of the entry budget; any number of sessions may
+/// Lookup/Insert concurrently. Stats counters are relaxed atomics. Clear()
+/// and ResetStats() must not race lookups.
 ///
-/// This cache complements (not replaces) the ContainmentOracle: the oracle
-/// memoizes the NP-hard containment subproblems across *all* traffic; the
-/// plan cache short-circuits the entire engine search for exact repeats —
-/// the dominant pattern of a dashboard or retry loop re-issuing one query.
+/// This is the server's only server-lifetime cache. It short-circuits the
+/// entire engine search for exact repeats — the dominant pattern of a
+/// dashboard or retry loop re-issuing one query; a miss runs the engine
+/// with every containment check decided directly.
 
 #ifndef AQV_SERVICE_PLAN_CACHE_H_
 #define AQV_SERVICE_PLAN_CACHE_H_

@@ -33,7 +33,6 @@ double NearestRankPercentile(const std::vector<double>& sorted, double q) {
 
 RewriteService::RewriteService(ServiceOptions options)
     : options_(options),
-      oracle_(options.oracle_max_entries, options.oracle_shards),
       start_(std::chrono::steady_clock::now()) {
   int workers = options_.num_workers;
   if (workers <= 0) {
@@ -69,7 +68,6 @@ Status RewriteService::SubmitTask(std::function<void()> task,
 template <typename Out, typename Request, typename Run>
 Result<Out> RewriteService::RunBatch(const std::vector<Request>& batch,
                                      Run run) {
-  OracleStats oracle_before = oracle_.stats();
   auto t0 = std::chrono::steady_clock::now();
 
   Out out;
@@ -82,9 +80,8 @@ Result<Out> RewriteService::RunBatch(const std::vector<Request>& batch,
   for (size_t i = 0; i < batch.size(); ++i) {
     shutting_down = !queue_.Push([&, i] {
       auto& resp = out.responses[i];
-      Request request = batch[i];  // the worker's own copy to wire up
       auto start = std::chrono::steady_clock::now();
-      auto r = run(request);
+      auto r = run(batch[i]);
       resp.latency_ms = MsBetween(start, std::chrono::steady_clock::now());
       if (r.ok()) {
         resp.response = std::move(r).value();
@@ -130,9 +127,7 @@ Result<Out> RewriteService::RunBatch(const std::vector<Request>& batch,
   stats.p50_ms = NearestRankPercentile(latencies, 0.50);
   stats.p95_ms = NearestRankPercentile(latencies, 0.95);
   stats.max_ms = latencies.empty() ? 0.0 : latencies.back();
-  stats.oracle = oracle_.stats() - oracle_before;
   stats.num_workers = num_workers();
-  stats.oracle_shards = oracle_.num_shards();
   return out;
 }
 
@@ -140,8 +135,7 @@ Result<BatchResult> RewriteService::RewriteBatch(
     const std::vector<ServiceRequest>& batch) {
   AQV_ASSIGN_OR_RETURN(
       BatchResult out,
-      RunBatch<BatchResult>(batch, [this](ServiceRequest& job) {
-        job.request.options.oracle = &oracle_;
+      RunBatch<BatchResult>(batch, [](const ServiceRequest& job) {
         return RunEngine(job.engine, job.request);
       }));
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -152,10 +146,7 @@ Result<BatchResult> RewriteService::RewriteBatch(
 
 Result<AnswerBatchResult> RewriteService::AnswerBatch(
     const std::vector<AnswerRequest>& batch) {
-  return RunBatch<AnswerBatchResult>(batch, [this](AnswerRequest& request) {
-    // One wire point suffices: AnswerQuery copies request.options into the
-    // planner's engine options itself.
-    request.options.oracle = &oracle_;
+  return RunBatch<AnswerBatchResult>(batch, [](const AnswerRequest& request) {
     return AnswerQuery(request);
   });
 }
@@ -169,9 +160,7 @@ ServiceStats RewriteService::lifetime_stats() const {
   if (s.wall_ms > 0.0) {
     s.throughput_rps = static_cast<double>(s.requests) / (s.wall_ms / 1000.0);
   }
-  s.oracle = oracle_.stats();
   s.num_workers = static_cast<int>(workers_.size());
-  s.oracle_shards = oracle_.num_shards();
   return s;
 }
 

@@ -1,11 +1,12 @@
 /// \file
 /// The concurrent batch service: a fixed pool of worker threads fed by one
-/// task queue, plus one sharded thread-safe ContainmentOracle
-/// (containment/oracle.h) shared by everything that runs on the pool.
-/// Per-request latency has a hard floor — the underlying problems are
-/// NP-complete (LMSS95 Thms 3.1/3.3) — so the service buys throughput, not
-/// latency: parallel execution across requests plus cross-request
-/// containment memoization.
+/// task queue. Per-request latency has a hard floor — the underlying
+/// problems are NP-complete (LMSS95 Thms 3.1/3.3) — so the service buys
+/// throughput, not latency, and it buys it from parallel execution across
+/// requests alone: it holds no containment state, so every containment
+/// check a request makes runs the homomorphism or linearization test
+/// directly unless the request itself carries an oracle
+/// (containment/oracle.h).
 ///
 /// SubmitTask is the one public way to put work on the pool: an opaque
 /// task that delivers its own result (the frontend server runs each
@@ -14,22 +15,21 @@
 /// queue one task per item on the same pool: RewriteBatch runs
 /// RewriteRequests through the unified engine layer
 /// (rewriting/engine.h), AnswerBatch runs AnswerRequests through the
-/// end-to-end answering pipeline (answering/answering.h); both wire the
-/// shared oracle, count each item ok or failed by its status, block for
-/// every result, and return aggregate ServiceStats. Responses are deterministic:
-/// a request's payload never depends on worker count, shard count, or
-/// scheduling, because the oracle is a pure cache (tests/test_service.cc
-/// holds the service to that). The one non-deterministic surface is
-/// per-request RewriteStats::oracle deltas, which under concurrency
-/// include other workers' traffic — read aggregate oracle numbers from
-/// ServiceStats instead.
+/// end-to-end answering pipeline (answering/answering.h); both run each
+/// request as its caller built it — `options.oracle` included — count
+/// each item ok or failed by its status, block for every result, and
+/// return aggregate ServiceStats. Responses are deterministic: a
+/// request's payload never depends on worker count or scheduling
+/// (tests/test_service.cc holds the service to that). When several
+/// requests share one caller-owned oracle, each response's
+/// RewriteStats::oracle delta includes the other workers' traffic under
+/// concurrency; read the oracle's own stats() for totals.
 
 #ifndef AQV_SERVICE_SERVICE_H_
 #define AQV_SERVICE_SERVICE_H_
 
 #include <atomic>
 #include <chrono>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "answering/answering.h"
-#include "containment/oracle.h"
 #include "rewriting/engine.h"
 #include "service/mpmc_queue.h"
 #include "util/status.h"
@@ -48,16 +47,11 @@ namespace aqv {
 struct ServiceOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency() (min 1).
   int num_workers = 0;
-  /// Shards of the service's shared ContainmentOracle (rounded up to a
-  /// power of two; more shards = less lock contention, same outputs).
-  size_t oracle_shards = 8;
-  /// Total entry budget of the shared oracle, split across shards.
-  size_t oracle_max_entries = size_t{1} << 20;
 };
 
 /// One unit of RewriteBatch work: which engine, applied to which request.
-/// The request's `views` pointer (and the Catalog behind it) must stay
-/// alive until the batch returns.
+/// The request's `views` pointer (and the Catalog behind it), and its
+/// `options.oracle` when set, must stay alive until the batch returns.
 struct ServiceRequest {
   /// Engine registry name ("lmss", "bucket", "minicon", "ucq").
   std::string engine;
@@ -91,10 +85,7 @@ struct ServiceStats {
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double max_ms = 0.0;
-  /// Shared-oracle counters: the batch's delta, or lifetime totals.
-  OracleStats oracle;
   int num_workers = 0;
-  size_t oracle_shards = 0;
 };
 
 /// A batch's responses (in submission order) plus its aggregate stats.
@@ -139,14 +130,14 @@ class RewriteService {
   RewriteService(const RewriteService&) = delete;
   RewriteService& operator=(const RewriteService&) = delete;
 
-  /// Executes `batch` across the pool with the shared oracle; blocks until
-  /// every response is in. responses[i] corresponds to batch[i].
+  /// Executes `batch` across the pool; blocks until every response is in.
+  /// responses[i] corresponds to batch[i].
   /// Engine-level failures are per-response (`responses[i].status`); the
   /// call itself only fails if the service is shutting down.
   [[nodiscard]] Result<BatchResult> RewriteBatch(const std::vector<ServiceRequest>& batch);
 
   /// Answering twin of RewriteBatch: runs every AnswerRequest through the
-  /// pipeline on the shared pool and oracle.
+  /// pipeline on the shared pool.
   [[nodiscard]] Result<AnswerBatchResult> AnswerBatch(const std::vector<AnswerRequest>& batch);
 
   /// Runs `task` on a pool worker. There is no collection API — the task
@@ -162,15 +153,13 @@ class RewriteService {
   /// Totals since construction (percentiles zero; see ServiceStats).
   ServiceStats lifetime_stats() const;
 
-  /// The shared sharded oracle the batch helpers wire into every request.
-  ContainmentOracle& oracle() { return oracle_; }
   const ServiceOptions& options() const { return options_; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
  private:
   /// Shared body of the batch helpers: one task per item, each running
-  /// `run` on its own copy of the item and filling responses[i], then a
-  /// latch until every accepted task finished. Defined in service.cc.
+  /// `run` on the item and filling responses[i], then a latch until every
+  /// accepted task finished. Defined in service.cc.
   template <typename Out, typename Request, typename Run>
   [[nodiscard]] Result<Out> RunBatch(const std::vector<Request>& batch, Run run);
 
@@ -185,7 +174,6 @@ class RewriteService {
   }
 
   ServiceOptions options_;
-  ContainmentOracle oracle_;
   MpmcQueue<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
 

@@ -101,7 +101,7 @@ MirrorChecker::MirrorChecker(SessionOptions options)
     : oracle_(/*max_entries=*/1 << 20, /*num_shards=*/1),
       session_([this, &options] {
         // The differential point: a private session against the server's
-        // pool-run sessions, one shard against its sharded oracle.
+        // pool-run sessions, memoized containment against direct.
         options.service = nullptr;
         options.enable_load = false;
         options.engine.oracle = &oracle_;

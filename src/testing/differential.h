@@ -7,8 +7,9 @@
 /// connection executed onto an in-process *mirror* Session — same command
 /// stream, but inline (no service) and with a fresh single-shard
 /// containment oracle — and demands byte-identical wire responses, which
-/// exercises the service-vs-inline and shard-count-invariance contracts
-/// end to end. Which commands the mirror executes and which it
+/// exercises the service-vs-inline contract end to end and checks the
+/// mirror's memoized containment decisions against the server's direct
+/// ones. Which commands the mirror executes and which it
 /// byte-compares is the `mirror` column of the session's command table
 /// (Session::Commands). On top of the byte compare, every successful `answer`
 /// response is semantically cross-checked against ground truth computed

@@ -70,7 +70,7 @@ struct ScenarioRequestBatch {
 /// seed `seed + repeat` — repeats are fresh problem instances over the
 /// same schema shape, not verbatim duplicates — and all engines of one
 /// (scenario, repeat) share that instance. Requests carry default
-/// EngineOptions (no oracle); the service wires its shared oracle in.
+/// EngineOptions (no oracle), and the service runs them as they are.
 /// Empty name lists or repeats < 1 yield kInvalidArgument; unknown names
 /// propagate kNotFound from the underlying registries.
 [[nodiscard]] Result<ScenarioRequestBatch> MakeBatchFromScenarios(
@@ -110,7 +110,7 @@ struct AnswerScenarioBatch {
 /// request per (scenario, repeat) instead of one per engine. Each
 /// (scenario, repeat) pair gets its own Scenario built with seed
 /// `seed + repeat` plus its own materialized extents. Requests carry
-/// default options (no oracle); the service wires its shared oracle in.
+/// default options (no oracle), and the service runs them as they are.
 /// Empty name/route lists or repeats < 1 yield kInvalidArgument; unknown
 /// names propagate kNotFound.
 [[nodiscard]] Result<AnswerScenarioBatch> MakeAnswerBatchFromScenarios(

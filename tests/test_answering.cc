@@ -365,7 +365,7 @@ TEST(Answering, ServiceAnswerBatchMatchesSerialPipeline) {
 
 TEST(Answering, MixedJobKindsShareThePool) {
   // A rewrite batch and an answering batch submitted concurrently from two
-  // threads interleave on one pool and oracle.
+  // threads interleave on one pool.
   Scenario s = MakeTravelScenario(13, 40).value();
   ServiceOptions options;
   options.num_workers = 2;

@@ -92,8 +92,32 @@ TEST(FrontendServerTest, StatsAliasSurfacesServiceStats) {
   // counted, exactly four.
   EXPECT_NE(response.find("service: requests=4 ok=4 failed=0 workers=2"),
             std::string::npos);
-  EXPECT_NE(response.find("oracle: hits="), std::string::npos);
+  EXPECT_EQ(response.find("oracle: hits="), std::string::npos);
   EXPECT_NE(response.find("plan_cache: hits="), std::string::npos);
+  server.Stop();
+}
+
+TEST(FrontendServerTest, StatsReportsNoServerOracle) {
+  // The server decides containment directly: even after a rewrite that
+  // posed containment checks, STATS shows no oracle line, and the service
+  // line ends at its worker count.
+  ServerOptions options;
+  options.service.num_workers = 2;
+  FrontendServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  std::string response = Roundtrip(
+      server.port(),
+      {"view v(X, Y) :- e(X, Y).", "query q(X, Z) :- e(X, Y), e(Y, Z).",
+       "rewrite with lmss", "STATS", "quit"});
+  EXPECT_NE(response.find("engine lmss: equivalent=yes"), std::string::npos)
+      << response;
+  EXPECT_EQ(response.find("oracle:"), std::string::npos) << response;
+  size_t at = response.find("\nservice: ");
+  ASSERT_NE(at, std::string::npos) << response;
+  size_t eol = response.find('\n', at + 1);
+  ASSERT_NE(eol, std::string::npos);
+  EXPECT_EQ(response.substr(at + 1, eol - at - 1),
+            "service: requests=4 ok=4 failed=0 workers=2");
   server.Stop();
 }
 

@@ -17,11 +17,11 @@
 namespace aqv {
 namespace {
 
-/// The concurrent service layer: determinism across worker counts, shard
-/// invariance of the sharded oracle, exact stats under a single thread,
-/// the SubmitTask contract (exactly-once, drain on destruction, count
-/// before delivery), and a mixed-scenario stress run (the TSan target in
-/// CI).
+/// The concurrent service layer: determinism across worker counts, a
+/// caller-owned oracle left in place by the batch helpers, exact sharded
+/// oracle stats under a single thread, the SubmitTask contract
+/// (exactly-once, drain on destruction, count before delivery), and a
+/// mixed-scenario stress run (the TSan target in CI).
 
 /// Everything about a response that must be scheduling-independent — the
 /// payload, minus timing and minus per-request oracle deltas (which under
@@ -127,10 +127,9 @@ TEST(MakeBatchFromScenariosTest, ShapesAndValidation) {
 }
 
 TEST(RewriteServiceTest, OneWorkerMatchesDirectEngineCalls) {
-  // The acceptance bar: a 1-worker service with the shared oracle emits
-  // responses bit-identical (payload-wise) to direct RewritingEngine calls
-  // without any oracle — the service and its cache change performance,
-  // never results.
+  // The acceptance bar: a 1-worker service emits responses bit-identical
+  // (payload-wise) to direct RewritingEngine calls — the service changes
+  // performance, never results.
   ScenarioRequestBatch batch = MixedBatch();
   ServiceOptions options;
   options.num_workers = 1;
@@ -163,31 +162,34 @@ TEST(RewriteServiceTest, DeterministicAcrossWorkerCounts) {
   EXPECT_EQ(rn.stats.num_workers, 4);
 }
 
-TEST(RewriteServiceTest, ShardCountInvariance) {
-  // 1 vs 16 shards: identical outputs (the cache is pure; sharding only
-  // moves entries between lock domains), and — single-threaded — identical
-  // aggregate oracle totals, since shard selection partitions exactly the
-  // buckets the unsharded oracle would have probed.
-  ScenarioRequestBatch batch = MixedBatch(/*repeats=*/2);
-  ServiceOptions narrow;
-  narrow.num_workers = 1;
-  narrow.oracle_shards = 1;
-  ServiceOptions wide;
-  wide.num_workers = 1;
-  wide.oracle_shards = 16;
-  BatchResult r1 = RunBatch(batch, narrow);
-  BatchResult r16 = RunBatch(batch, wide);
-  ASSERT_EQ(r1.responses.size(), r16.responses.size());
-  for (size_t i = 0; i < r1.responses.size(); ++i) {
-    EXPECT_EQ(Payload(r1.responses[i]), Payload(r16.responses[i]))
+TEST(RewriteServiceTest, BatchKeepsTheCallersOracle) {
+  // The service owns no oracle: a request that carries one runs against
+  // it, so every lookup of the batch lands on the caller's oracle, and the
+  // payloads still match a batch that decides containment directly.
+  ScenarioRequestBatch batch = MixedBatch();
+  std::vector<ServiceRequest> requests = ToServiceRequests(batch);
+  ContainmentOracle oracle;
+  std::vector<ServiceRequest> memoized = requests;
+  for (ServiceRequest& job : memoized) job.request.options.oracle = &oracle;
+  ServiceOptions options;
+  options.num_workers = 1;
+  RewriteService service(options);
+  auto with_oracle = service.RewriteBatch(memoized);
+  auto direct = service.RewriteBatch(requests);
+  ASSERT_TRUE(with_oracle.ok() && direct.ok());
+  OracleStats s = oracle.stats();
+  EXPECT_GT(s.lookups(), 0u);
+  uint64_t reported = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const ServiceResponse& memo = with_oracle.value().responses[i];
+    EXPECT_EQ(Payload(memo), Payload(direct.value().responses[i]))
+        << batch.labels[i];
+    reported += memo.response.stats.oracle.lookups();
+    EXPECT_EQ(direct.value().responses[i].response.stats.oracle.lookups(), 0u)
         << batch.labels[i];
   }
-  EXPECT_EQ(r1.stats.oracle.hits, r16.stats.oracle.hits);
-  EXPECT_EQ(r1.stats.oracle.misses, r16.stats.oracle.misses);
-  EXPECT_EQ(r1.stats.oracle.inserts, r16.stats.oracle.inserts);
-  EXPECT_EQ(r1.stats.oracle.confirm_failures,
-            r16.stats.oracle.confirm_failures);
-  EXPECT_EQ(r16.stats.oracle_shards, 16u);
+  // One worker: the per-response deltas partition the oracle's lookups.
+  EXPECT_EQ(reported, s.lookups());
 }
 
 TEST(RewriteServiceTest, ShardedOracleStatsExactUnderSingleThread) {
@@ -275,7 +277,6 @@ TEST(RewriteServiceTest, BatchStatsAreConsistent) {
   ScenarioRequestBatch batch = MixedBatch(/*repeats=*/2);
   ServiceOptions options;
   options.num_workers = 2;
-  options.oracle_shards = 4;
   BatchResult result = RunBatch(batch, options);
   const ServiceStats& s = result.stats;
   EXPECT_EQ(s.requests, batch.size());
@@ -285,21 +286,18 @@ TEST(RewriteServiceTest, BatchStatsAreConsistent) {
   EXPECT_GT(s.throughput_rps, 0.0);
   EXPECT_LE(s.p50_ms, s.p95_ms);
   EXPECT_LE(s.p95_ms, s.max_ms);
-  // Repeated scenario×engine items share containment work: the batch's
-  // oracle delta must show real cross-request reuse.
-  EXPECT_GT(s.oracle.hits, 0u);
-  EXPECT_EQ(s.oracle.lookups(), s.oracle.hits + s.oracle.misses);
-  EXPECT_EQ(s.oracle_shards, 4u);
+  EXPECT_EQ(s.num_workers, 2);
 }
 
 TEST(RewriteServiceTest, StressMixedScenariosManyWorkers) {
-  // The TSan target: 8 workers hammering one 4-shard oracle over three
-  // rounds of the full mixed grid, plus a second service sharing nothing.
+  // The TSan target: 8 workers hammering one caller-owned 4-shard oracle
+  // over three rounds of the full mixed grid.
   ScenarioRequestBatch batch = MixedBatch(/*repeats=*/3, /*seed=*/21);
   std::vector<ServiceRequest> requests = ToServiceRequests(batch);
+  ContainmentOracle oracle(/*max_entries=*/size_t{1} << 20, /*num_shards=*/4);
+  for (ServiceRequest& job : requests) job.request.options.oracle = &oracle;
   ServiceOptions options;
   options.num_workers = 8;
-  options.oracle_shards = 4;
   RewriteService service(options);
   for (int round = 0; round < 3; ++round) {
     auto result = service.RewriteBatch(requests);
@@ -309,7 +307,7 @@ TEST(RewriteServiceTest, StressMixedScenariosManyWorkers) {
   ServiceStats lifetime = service.lifetime_stats();
   EXPECT_EQ(lifetime.requests, 3 * requests.size());
   // Rounds 2 and 3 replay round 1's containment work from the cache.
-  EXPECT_GT(lifetime.oracle.hits, lifetime.oracle.misses);
+  EXPECT_GT(oracle.stats().hits, oracle.stats().misses);
 }
 
 TEST(RewriteServiceTest, DefaultWorkerCountIsAtLeastOne) {

@@ -1,16 +1,16 @@
 /// \file
 /// Differential soak/fuzz driver over the TCP frontend: boots a real
-/// epoll FrontendServer in-process (shared cross-connection oracle +
-/// rewriting-plan cache by default; --shared-cache 0 restores isolated
-/// per-connection caches), generates randomized LAV scenario families
-/// (workload/generator.h), renders each as a churning probed session
-/// script (frontend/replay.h), and replays the scripts over real TCP
-/// connections from N concurrent client threads — every response checked
-/// byte-for-byte and semantically against an in-process mirror
-/// (testing/differential.h), which makes the soak a live proof that the
-/// shared caches never perturb a byte. On divergence the script is
-/// ddmin-shrunk against the live server and dumped as a standalone `.aqv`
-/// repro that `aqvsh` can replay. A multi-tenant isolation phase
+/// epoll FrontendServer in-process (one shared cross-connection
+/// rewriting-plan cache, containment decided directly), generates
+/// randomized LAV scenario families (workload/generator.h), renders each
+/// as a churning probed session script (frontend/replay.h), and replays
+/// the scripts over real TCP connections from N concurrent client threads
+/// — every response checked byte-for-byte and semantically against an
+/// in-process mirror (testing/differential.h) that memoizes containment
+/// in its own oracle, which makes the soak a live proof that neither the
+/// shared plan cache nor the mirror's oracle perturbs a byte. On
+/// divergence the script is ddmin-shrunk against the live server and
+/// dumped as a standalone `.aqv` repro that `aqvsh` can replay. A multi-tenant isolation phase
 /// (--tenants N) precedes the soak: authenticated tenants interleave
 /// their own scenarios on one account-gated server, and any cross-tenant
 /// leakage diverges from the mirror. Exit code 0 = clean soak, 1 =
@@ -60,7 +60,6 @@ struct SoakConfig {
   int preds_max = 24;
   int churn_max = 2;
   int inject_fault_at = -1;  // tamper the Nth answer of the first scenario
-  bool shared_cache = true;  // server-lifetime oracle + plan cache
   int tenants = 2;           // interleaved isolation phase; 0 disables
   std::string repro_dir = ".";
   std::string persist_dir;  // empty = in-memory sessions only
@@ -80,8 +79,6 @@ void Usage(const char* argv0) {
       "  --churn-max N        max view-churn cycles per script (default 2)\n"
       "  --inject-fault-at N  self-test: tamper the Nth answer response of\n"
       "                       the first scenario; expect exit 1 + a repro\n"
-      "  --shared-cache 0|1   share one oracle + rewriting-plan cache across\n"
-      "                       every connection (default 1; 0 = per-conn)\n"
       "  --tenants N          interleaved multi-tenant isolation phase with\n"
       "                       N authenticated tenants (default 2, 0 = off)\n"
       "  --repro-dir DIR      where divergence repros are written (.)\n"
@@ -110,7 +107,6 @@ bool ParseFlags(int argc, char** argv, SoakConfig* cfg) {
     else if (arg == "--preds-max") cfg->preds_max = std::atoi(v);
     else if (arg == "--churn-max") cfg->churn_max = std::atoi(v);
     else if (arg == "--inject-fault-at") cfg->inject_fault_at = std::atoi(v);
-    else if (arg == "--shared-cache") cfg->shared_cache = std::atoi(v) != 0;
     else if (arg == "--tenants") cfg->tenants = std::atoi(v);
     else if (arg == "--repro-dir") cfg->repro_dir = v;
     else if (arg == "--persist") cfg->persist_dir = v;
@@ -211,14 +207,13 @@ void WriteRepro(const SoakConfig& cfg, const FaultRecord& fault,
 /// The interleaved multi-tenant isolation phase: an account-gated server
 /// (one credential per tenant), every tenant authenticating and replaying
 /// its own generated scenario concurrently with the others through the
-/// shared caches. The differential mirror executes each connection's
+/// shared plan cache. The differential mirror executes each connection's
 /// script inline on private state, so any cross-tenant leakage — another
 /// tenant's views or facts surfacing in a response — is a byte divergence.
 /// `auth` itself is answered at the server boundary and skipped by the
 /// mirror. Exit 0 = isolated, 1 = leakage/divergence, 2 = setup error.
 int RunTenantIsolation(const SoakConfig& cfg) {
   ServerOptions options;
-  options.share_cache = cfg.shared_cache;
   std::vector<std::string> tokens;
   for (int t = 0; t < cfg.tenants; ++t) {
     tokens.push_back("tok-" + std::to_string(cfg.seed * 31 +
@@ -234,8 +229,8 @@ int RunTenantIsolation(const SoakConfig& cfg) {
     return 2;
   }
   std::printf("[soak] tenant isolation: %d tenant(s) interleaved on "
-              "127.0.0.1:%d (shared cache %s)\n",
-              cfg.tenants, server.port(), cfg.shared_cache ? "on" : "off");
+              "127.0.0.1:%d\n",
+              cfg.tenants, server.port());
 
   std::mutex mu;
   std::vector<std::string> failures;
@@ -289,7 +284,7 @@ int RunTenantIsolation(const SoakConfig& cfg) {
     }
   };
   // Two rounds: the second replays the same scripts through the by-then
-  // warm shared caches — hits must not perturb isolation either.
+  // warm shared plan cache — hits must not perturb isolation either.
   for (int round = 0; round < 2 && failures.empty(); ++round) {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<size_t>(cfg.tenants));
@@ -332,7 +327,6 @@ int Run(const SoakConfig& cfg) {
     }
   }
   ServerOptions server_options;  // ephemeral port, 64 conns
-  server_options.share_cache = cfg.shared_cache;
   FrontendServer server(server_options);
   Status started = server.Start();
   if (!started.ok()) {
@@ -341,11 +335,9 @@ int Run(const SoakConfig& cfg) {
     return 2;
   }
   const int port = server.port();
-  std::printf("[soak] server on 127.0.0.1:%d, %d client(s), seed %llu, "
-              "shared cache %s\n",
+  std::printf("[soak] server on 127.0.0.1:%d, %d client(s), seed %llu\n",
               port, cfg.clients,
-              static_cast<unsigned long long>(cfg.seed),
-              cfg.shared_cache ? "on" : "off");
+              static_cast<unsigned long long>(cfg.seed));
 
   std::atomic<int> next_index{0};
   std::atomic<int> scenarios_done{0};
@@ -469,18 +461,12 @@ int Run(const SoakConfig& cfg) {
     exit_code = 1;
   }
 
-  if (cfg.shared_cache) {
-    OracleStats oracle = server.oracle().stats();
-    PlanCacheStats plans = server.plan_cache().stats();
-    std::printf("[soak] shared caches: oracle hits=%llu misses=%llu "
-                "hit_rate=%.3f; plans hits=%llu misses=%llu hit_rate=%.3f\n",
-                static_cast<unsigned long long>(oracle.hits),
-                static_cast<unsigned long long>(oracle.misses),
-                oracle.hit_rate(),
-                static_cast<unsigned long long>(plans.hits),
-                static_cast<unsigned long long>(plans.misses),
-                plans.hit_rate());
-  }
+  PlanCacheStats plans = server.plan_cache().stats();
+  std::printf("[soak] shared plan cache: hits=%llu misses=%llu "
+              "hit_rate=%.3f\n",
+              static_cast<unsigned long long>(plans.hits),
+              static_cast<unsigned long long>(plans.misses),
+              plans.hit_rate());
   server.Stop();
   std::printf("[soak] done: %d scenario(s), %ld command(s), %ld answer "
               "check(s), %ld rewrite check(s), %s\n",

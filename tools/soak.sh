@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Bounded differential soak over the epoll TCP frontend (shared
-# cross-connection oracle + rewriting-plan cache), in two acts:
+# cross-connection rewriting-plan cache, containment decided directly;
+# the mirror memoizes containment in its own oracle), in two acts:
 #
 #   1. a clean soak — a multi-tenant isolation phase (interleaved
 #      authenticated tenants who must never see each other's views), then
 #      randomized generated scenarios replayed by concurrent clients
-#      through the shared caches, every response differentially checked;
+#      through the shared plan cache, every response differentially checked;
 #      any divergence fails the script (and leaves a shrunk .aqv repro),
 #   2. the harness self-test — the same driver with --inject-fault-at,
 #      which MUST exit 1 and write a repro: a soak harness that cannot
@@ -17,7 +18,7 @@
 #
 # CI's soak-smoke job runs this under ASan with SOAK_DURATION_S=60.
 # Knobs (env): SOAK_SEED, SOAK_CLIENTS, SOAK_SCENARIOS,
-# SOAK_MIN_COMMANDS, SOAK_DURATION_S, SOAK_TENANTS, SOAK_SHARED_CACHE.
+# SOAK_MIN_COMMANDS, SOAK_DURATION_S, SOAK_TENANTS.
 # See docs/OPERATIONS.md.
 #
 # Usage: tools/soak.sh [BUILD_DIR] [--persist <dir>]
@@ -50,7 +51,6 @@ SOAK_SCENARIOS=${SOAK_SCENARIOS:-12}
 SOAK_MIN_COMMANDS=${SOAK_MIN_COMMANDS:-3000}
 SOAK_DURATION_S=${SOAK_DURATION_S:-0}
 SOAK_TENANTS=${SOAK_TENANTS:-2}
-SOAK_SHARED_CACHE=${SOAK_SHARED_CACHE:-1}
 
 workdir=$(mktemp -d)
 cleanup() {
@@ -69,7 +69,7 @@ fi
 echo "=== clean soak (seed=$SOAK_SEED clients=$SOAK_CLIENTS" \
   "scenarios=$SOAK_SCENARIOS min-commands=$SOAK_MIN_COMMANDS" \
   "duration-s=$SOAK_DURATION_S tenants=$SOAK_TENANTS" \
-  "shared-cache=$SOAK_SHARED_CACHE persist=${PERSIST_DIR:-off}) ==="
+  "persist=${PERSIST_DIR:-off}) ==="
 "$SOAK" \
   --seed "$SOAK_SEED" \
   --clients "$SOAK_CLIENTS" \
@@ -79,7 +79,6 @@ echo "=== clean soak (seed=$SOAK_SEED clients=$SOAK_CLIENTS" \
   --views-min 15 --views-max 40 \
   --preds-min 8 --preds-max 16 \
   --tenants "$SOAK_TENANTS" \
-  --shared-cache "$SOAK_SHARED_CACHE" \
   "${persist_flags[@]}" \
   --repro-dir "$workdir"
 
