@@ -24,8 +24,9 @@ T Unwrap(Result<T> r, const char* what) {
   return std::move(r).value();
 }
 
-/// Prints an experiment banner so the bench output reads like the
-/// EXPERIMENTS.md tables it regenerates.
+/// Prints an experiment banner: the bench's id (T1–T5 for the paper's
+/// results in PAPER.md, F5 and F12 for the evaluator and the store) and
+/// what it measures.
 inline void Banner(const char* id, const char* title) {
   std::printf("==== %s: %s ====\n", id, title);
 }

@@ -116,7 +116,7 @@ Result<AnswerResponse> AnswerQuery(const AnswerRequest& request) {
   }
 
   // The extent cache: evaluate the views at most once per request, and not
-  // at all when the caller supplies (typically batch-shared) extents.
+  // at all when the caller supplies extents.
   Database materialized;
   const Database* extents = request.extents;
   if (extents == nullptr) {

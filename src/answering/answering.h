@@ -75,8 +75,7 @@ std::string_view AnswerRouteName(AnswerRoute route);
 
 /// \brief One answering problem: which query over which views and data,
 /// answered how. Pointees (views, databases, and the Catalog behind them)
-/// must outlive the call — and, when submitted to the service, the
-/// response collection.
+/// must outlive the call.
 struct AnswerRequest {
   /// The query (a union; singleton for the CQ engines and kCostBased).
   UnionQuery query;

@@ -67,25 +67,9 @@ class HomSearch {
   }
 
   /// Chooses the unmapped from-atom with the fewest compatible targets
-  /// (fail-first), or the first unmapped atom under static ordering.
-  /// Returns -1 when all atoms are mapped.
+  /// (fail-first), which matters on self-join-heavy queries. Returns -1
+  /// when all atoms are mapped.
   int PickAtom(int* num_candidates) const {
-    if (!opts_.dynamic_ordering) {
-      for (int i = 0; i < static_cast<int>(from_.body().size()); ++i) {
-        if (mapped_[i]) continue;
-        const Atom& a = from_.body()[i];
-        int count = 0;
-        if (a.pred >= 0 && a.pred < static_cast<PredId>(by_pred_.size())) {
-          for (int j : by_pred_[a.pred]) {
-            if (Compatible(a, to_.body()[j])) ++count;
-          }
-        }
-        *num_candidates = count;
-        return i;
-      }
-      *num_candidates = 0;
-      return -1;
-    }
     int best = -1;
     int best_count = INT32_MAX;
     for (int i = 0; i < static_cast<int>(from_.body().size()); ++i) {

@@ -20,12 +20,6 @@ struct HomSearchOptions {
   /// -mapping condition). Disable for body-only homomorphisms, e.g. when
   /// generating candidate view tuples over the canonical database.
   bool map_head = true;
-
-  /// Dynamic fail-first atom ordering (pick the unmapped atom with the
-  /// fewest compatible targets at every step). Disable to process atoms in
-  /// body order — the ablation knob behind bench_a1_ablations, showing why
-  /// the default matters on self-join-heavy queries.
-  bool dynamic_ordering = true;
 };
 
 /// \brief Searches for a containment mapping h : vars(from) -> terms(to)

@@ -4,8 +4,8 @@
 /// command per view rule, one `fact` per base tuple, then the scenario
 /// query. Replaying the script through a Session round-trips the whole
 /// problem through the surface syntax (docs/QUERY_LANGUAGE.md), which is
-/// how the frontend tests and bench_f10_frontend drive realistic session
-/// traffic instead of hand-typed toys.
+/// how the frontend tests drive realistic session traffic instead of
+/// hand-typed toys.
 
 #ifndef AQV_FRONTEND_REPLAY_H_
 #define AQV_FRONTEND_REPLAY_H_

@@ -85,7 +85,6 @@ std::string EngineOptionsDigest(const EngineOptions& o) {
   add(o.lmss.max_rewriting_atoms);
   add(o.lmss.max_rewritings);
   add(o.lmss.max_subsets);
-  add(o.lmss.extend_beyond_cover);
   add(o.lmss.allow_base_atoms);
   add(o.lmss.allow_trivial);
   add(o.bucket.max_combinations);

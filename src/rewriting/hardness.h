@@ -41,9 +41,8 @@ struct Formula3Sat {
 /// {v} exists iff there is a homomorphism K3 ∪ G -> K3, i.e. iff G is
 /// 3-colorable. T2 (bench_t2_np_reduction) measures the correspondence.
 ///
-/// This is a polynomial reduction witnessing NP-hardness in our own
-/// machinery; the original LMSS proof is not reproduced verbatim (the
-/// paper's text is unavailable — see the DESIGN.md mismatch notice).
+/// This is a polynomial reduction witnessing NP-hardness (PAPER.md result
+/// 2) in our own machinery; it is not the paper's own proof.
 Graph ThreeSatToThreeColoring(const Formula3Sat& formula);
 
 /// A 3-SAT → rewriting-existence instance: the query, the single view, and

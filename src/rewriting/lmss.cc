@@ -65,7 +65,9 @@ class LmssSearch {
     return Status::OK();
   }
 
-  /// Optional strengthening pass: supersets of a failed cover.
+  /// Strengthening pass: supersets of a failed cover, up to the size
+  /// bound. Covers alone suffice for the classic comparison-free
+  /// completeness argument.
   Status Extend(size_t from_index) {
     if (Done()) return Status::OK();
     if (static_cast<int>(chosen_.size()) >= max_atoms_) return Status::OK();
@@ -84,9 +86,7 @@ class LmssSearch {
     if (Done()) return Status::OK();
     if (covered == full_mask_) {
       AQV_RETURN_NOT_OK(TestSubset());
-      if (!Done() && options_.extend_beyond_cover) {
-        AQV_RETURN_NOT_OK(Extend(0));
-      }
+      if (!Done()) AQV_RETURN_NOT_OK(Extend(0));
       return Status::OK();
     }
     if (static_cast<int>(chosen_.size()) >= max_atoms_) return Status::OK();

@@ -30,12 +30,6 @@ struct LmssOptions {
   /// Budget on candidate subsets tested (kResourceExhausted past it).
   uint64_t max_subsets = 2'000'000;
 
-  /// After a covering subset fails the equivalence test, also try
-  /// strengthening it with additional candidates up to the size bound.
-  /// Covers suffice for the classic comparison-free completeness argument;
-  /// the extension pass additionally explores supersets of failed covers.
-  bool extend_beyond_cover = true;
-
   /// Allow *partial* rewritings (LMSS R3): body atoms may be base-relation
   /// subgoals of q itself in addition to view atoms. Every subgoal of the
   /// minimized query joins the candidate pool as its own cover, so the
@@ -82,7 +76,8 @@ struct LmssResult {
 /// When comparisons are present, the equivalence tests are comparison-aware
 /// (sound) but the candidate pool is built from the relational structure
 /// only, so a rewriting that would need new comparison literals in its body
-/// is not found; see DESIGN.md (R4).
+/// is not found: with comparisons, `exists == false` is not a proof that no
+/// equivalent rewriting exists.
 [[nodiscard]] Result<LmssResult> FindEquivalentRewritings(const Query& q,
                                             const ViewSet& views,
                                             const LmssOptions& options = {});

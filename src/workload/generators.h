@@ -1,8 +1,8 @@
 /// \file
 /// Umbrella header of the `workload` module: parameterized generators for
-/// the query/view families the benchmarks measure — chain queries and chain
-/// views (figure family F1), star queries (F2), and random CQs with
-/// configurable DistinguishedPolicy head exposure. datagen.h adds random
+/// the query/view families the T-series benches and the property tests
+/// draw from — chain, star and clique queries with their views, and random
+/// CQs with configurable DistinguishedPolicy head exposure. datagen.h adds random
 /// database instances and scenarios.h packages full LAV problems (schema +
 /// query + views + hidden base data). Invariants: every generator is a pure
 /// function of its spec and the caller's Rng — same seed, same workload —
@@ -30,7 +30,7 @@ enum class DistinguishedPolicy {
 };
 
 // ---------------------------------------------------------------------------
-// Chain workloads (MiniCon experimental grid, figure family F1).
+// Chain workloads (the MiniCon experimental grid).
 // ---------------------------------------------------------------------------
 
 /// Parameters of a chain query q(X0, Xn) :- r1(X0,X1), ..., rn(Xn-1,Xn).
@@ -62,7 +62,7 @@ struct ChainViewSpec {
                                const ChainViewSpec& spec);
 
 // ---------------------------------------------------------------------------
-// Star workloads (F2).
+// Star workloads.
 // ---------------------------------------------------------------------------
 
 /// q(X1..Xk) :- r1(X0,X1), ..., rk(X0,Xk): a center joined to k rays.
@@ -91,7 +91,7 @@ struct StarViewSpec {
                               const StarViewSpec& spec);
 
 // ---------------------------------------------------------------------------
-// Complete (clique) workloads (F3).
+// Complete (clique) workloads.
 // ---------------------------------------------------------------------------
 
 /// q(X1..Xn) :- r_ij(Xi,Xj) for all i<j: every pair of variables joined.
@@ -120,7 +120,7 @@ struct CompleteViewSpec {
                                   const CompleteViewSpec& spec);
 
 // ---------------------------------------------------------------------------
-// Random CQs (T1 property sweeps, F6 containment microbenches).
+// Random CQs (containment property sweeps).
 // ---------------------------------------------------------------------------
 
 struct RandomQuerySpec {

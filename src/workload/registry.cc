@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "eval/materialize.h"
 #include "workload/generator.h"
 
 namespace aqv {
@@ -40,114 +39,6 @@ Result<RewriteResponse> RewriteScenarioWithEngine(
   request.views = &scenario.views;
   request.options = options;
   return RunEngine(engine_name, request);
-}
-
-Result<ScenarioRequestBatch> MakeBatchFromScenarios(
-    const std::vector<std::string>& scenario_names,
-    const std::vector<std::string>& engine_names, int repeats, uint64_t seed,
-    int db_size) {
-  if (scenario_names.empty()) {
-    return Status::InvalidArgument("MakeBatchFromScenarios: no scenarios");
-  }
-  if (engine_names.empty()) {
-    return Status::InvalidArgument("MakeBatchFromScenarios: no engines");
-  }
-  if (repeats < 1) {
-    return Status::InvalidArgument("MakeBatchFromScenarios: repeats < 1");
-  }
-  // Fail on unknown engine names up front, not per-request mid-batch.
-  for (const std::string& engine : engine_names) {
-    AQV_RETURN_NOT_OK(MakeEngine(engine).status());
-  }
-
-  ScenarioRequestBatch batch;
-  for (const std::string& scenario_name : scenario_names) {
-    for (int rep = 0; rep < repeats; ++rep) {
-      AQV_ASSIGN_OR_RETURN(
-          Scenario scenario,
-          MakeScenarioByName(scenario_name, seed + static_cast<uint64_t>(rep),
-                             db_size));
-      batch.scenarios.push_back(
-          std::make_unique<Scenario>(std::move(scenario)));
-      const Scenario& owned = *batch.scenarios.back();
-      for (const std::string& engine : engine_names) {
-        RewriteRequest request;
-        request.query.disjuncts.push_back(owned.query);
-        request.views = &owned.views;
-        batch.engines.push_back(engine);
-        batch.requests.push_back(std::move(request));
-        batch.labels.push_back(scenario_name + "/" + engine +
-                               "/rep:" + std::to_string(rep));
-      }
-    }
-  }
-  return batch;
-}
-
-Result<AnswerScenarioBatch> MakeAnswerBatchFromScenarios(
-    const std::vector<std::string>& scenario_names,
-    const std::vector<std::string>& engine_names,
-    const std::vector<AnswerRoute>& routes, int repeats, uint64_t seed,
-    int db_size) {
-  if (scenario_names.empty()) {
-    return Status::InvalidArgument("MakeAnswerBatchFromScenarios: no scenarios");
-  }
-  if (engine_names.empty()) {
-    return Status::InvalidArgument("MakeAnswerBatchFromScenarios: no engines");
-  }
-  if (routes.empty()) {
-    return Status::InvalidArgument("MakeAnswerBatchFromScenarios: no routes");
-  }
-  if (repeats < 1) {
-    return Status::InvalidArgument("MakeAnswerBatchFromScenarios: repeats < 1");
-  }
-  // Fail on unknown engine names up front, not per-request mid-batch.
-  for (const std::string& engine : engine_names) {
-    AQV_RETURN_NOT_OK(MakeEngine(engine).status());
-  }
-
-  AnswerScenarioBatch batch;
-  for (const std::string& scenario_name : scenario_names) {
-    for (int rep = 0; rep < repeats; ++rep) {
-      AQV_ASSIGN_OR_RETURN(
-          Scenario scenario,
-          MakeScenarioByName(scenario_name, seed + static_cast<uint64_t>(rep),
-                             db_size));
-      batch.scenarios.push_back(
-          std::make_unique<Scenario>(std::move(scenario)));
-      const Scenario& owned = *batch.scenarios.back();
-      // The per-scenario extent cache every request of this instance
-      // shares, regardless of route or engine.
-      AQV_ASSIGN_OR_RETURN(Database extents,
-                           MaterializeViews(owned.views, owned.base));
-      batch.extents.push_back(std::make_unique<Database>(std::move(extents)));
-      const Database* owned_extents = batch.extents.back().get();
-      for (AnswerRoute route : routes) {
-        // The cost route plans across *all* registered engines itself, so
-        // only the complete route fans out per engine name here.
-        bool engine_dependent = route == AnswerRoute::kCompleteRewriting;
-        size_t variants = engine_dependent ? engine_names.size() : 1;
-        for (size_t e = 0; e < variants; ++e) {
-          AnswerRequest request;
-          request.query.disjuncts.push_back(owned.query);
-          request.views = &owned.views;
-          request.base = &owned.base;
-          request.extents = owned_extents;
-          request.route = route;
-          std::string label = scenario_name + "/" +
-                              std::string(AnswerRouteName(route));
-          if (engine_dependent) {
-            request.engine = engine_names[e];
-            label += "/" + engine_names[e];
-          }
-          label += "/rep:" + std::to_string(rep);
-          batch.requests.push_back(std::move(request));
-          batch.labels.push_back(std::move(label));
-        }
-      }
-    }
-  }
-  return batch;
 }
 
 }  // namespace aqv

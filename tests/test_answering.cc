@@ -7,7 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -327,44 +328,84 @@ TEST(Answering, RequestValidation) {
   EXPECT_EQ(AnswerQuery(bad_engine).status().code(), StatusCode::kNotFound);
 }
 
+/// Submits `run(i)` for every i in [0, n) as its own pool task and
+/// collects the results in order through futures.
+template <typename Run>
+auto RunOnPool(RewriteService& service, size_t n, const Run& run) {
+  using R = decltype(run(size_t{0}));
+  std::vector<std::future<R>> futures;
+  for (size_t i = 0; i < n; ++i) {
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [&run, i] { return run(i); });
+    futures.push_back(task->get_future());
+    Status submitted = service.SubmitTask([task] { (*task)(); });
+    EXPECT_TRUE(submitted.ok()) << submitted.ToString();
+  }
+  std::vector<R> results;
+  for (auto& f : futures) results.push_back(f.get());
+  return results;
+}
+
 TEST(Answering, ServiceAnswerBatchMatchesSerialPipeline) {
-  // The service's answering batches: identical payloads to serial
-  // AnswerQuery calls, for the whole scenario × route × engine grid.
-  AnswerScenarioBatch batch =
-      MakeAnswerBatchFromScenarios(
-          ScenarioNames(), EngineNames(),
-          {AnswerRoute::kDirect, AnswerRoute::kCompleteRewriting,
-           AnswerRoute::kInverseRules, AnswerRoute::kCostBased},
-          /*repeats=*/1, /*seed=*/9, /*db_size=*/40)
-          .value();
-  ASSERT_EQ(batch.size(),
+  // Answering on the service pool, one task per request: identical
+  // payloads to serial AnswerQuery calls, for the whole scenario × route ×
+  // engine grid over extents materialized once per scenario.
+  std::vector<std::unique_ptr<Scenario>> scenarios;
+  std::vector<std::unique_ptr<Database>> extents;
+  std::vector<AnswerRequest> requests;
+  std::vector<std::string> labels;
+  for (const std::string& name : ScenarioNames()) {
+    scenarios.push_back(std::make_unique<Scenario>(
+        MakeScenarioByName(name, /*seed=*/9, /*db_size=*/40).value()));
+    const Scenario& s = *scenarios.back();
+    extents.push_back(
+        std::make_unique<Database>(MaterializeViews(s.views, s.base).value()));
+    for (AnswerRoute route :
+         {AnswerRoute::kDirect, AnswerRoute::kCompleteRewriting,
+          AnswerRoute::kInverseRules, AnswerRoute::kCostBased}) {
+      // Only the complete route names an engine; the cost route plans
+      // across every registered engine itself.
+      std::vector<std::string> engines = {""};
+      if (route == AnswerRoute::kCompleteRewriting) engines = EngineNames();
+      for (const std::string& engine : engines) {
+        AnswerRequest request = BaseRequest(s.query, s.views, s.base);
+        request.extents = extents.back().get();
+        request.route = route;
+        if (!engine.empty()) request.engine = engine;
+        requests.push_back(std::move(request));
+        labels.push_back(name + "/" + std::string(AnswerRouteName(route)) +
+                         (engine.empty() ? "" : "/" + engine));
+      }
+    }
+  }
+  ASSERT_EQ(requests.size(),
             ScenarioNames().size() * (3 + EngineNames().size()));
 
   ServiceOptions options;
   options.num_workers = 4;
   RewriteService service(options);
-  auto result = service.AnswerBatch(batch.requests);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result.value().responses.size(), batch.size());
-  EXPECT_EQ(result.value().stats.ok, batch.size());
-  EXPECT_EQ(result.value().stats.failed, 0u);
+  std::vector<Result<AnswerResponse>> results = RunOnPool(
+      service, requests.size(),
+      [&requests](size_t i) { return AnswerQuery(requests[i]); });
+  ASSERT_EQ(results.size(), requests.size());
+  EXPECT_EQ(service.lifetime_stats().ok, requests.size());
+  EXPECT_EQ(service.lifetime_stats().failed, 0u);
 
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const AnswerServiceResponse& via_service = result.value().responses[i];
-    ASSERT_TRUE(via_service.status.ok())
-        << batch.labels[i] << ": " << via_service.status.ToString();
-    auto serial = AnswerQuery(batch.requests[i]);
-    ASSERT_TRUE(serial.ok()) << batch.labels[i];
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const Result<AnswerResponse>& via_service = results[i];
+    ASSERT_TRUE(via_service.ok())
+        << labels[i] << ": " << via_service.status().ToString();
+    auto serial = AnswerQuery(requests[i]);
+    ASSERT_TRUE(serial.ok()) << labels[i];
     EXPECT_TRUE(Relation::SameSet(serial.value().result,
-                                  via_service.response.result))
-        << batch.labels[i];
-    EXPECT_EQ(serial.value().exact, via_service.response.exact)
-        << batch.labels[i];
+                                  via_service.value().result))
+        << labels[i];
+    EXPECT_EQ(serial.value().exact, via_service.value().exact) << labels[i];
   }
 }
 
 TEST(Answering, MixedJobKindsShareThePool) {
-  // A rewrite batch and an answering batch submitted concurrently from two
+  // Rewrite tasks and answering tasks submitted concurrently from two
   // threads interleave on one pool.
   Scenario s = MakeTravelScenario(13, 40).value();
   ServiceOptions options;
@@ -372,40 +413,41 @@ TEST(Answering, MixedJobKindsShareThePool) {
   RewriteService service(options);
   constexpr size_t kCopies = 3;
 
-  ServiceRequest rewrite;
-  rewrite.engine = "minicon";
-  rewrite.request.query.disjuncts.push_back(s.query);
-  rewrite.request.views = &s.views;
+  RewriteRequest rewrite;
+  rewrite.query.disjuncts.push_back(s.query);
+  rewrite.views = &s.views;
   AnswerRequest answer = BaseRequest(s.query, s.views, s.base);
   answer.route = AnswerRoute::kInverseRules;
 
-  std::optional<Result<BatchResult>> rewrites;
-  std::optional<Result<AnswerBatchResult>> answers;
+  std::vector<Result<RewriteResponse>> rewrites;
+  std::vector<Result<AnswerResponse>> answers;
   std::thread rewriter([&] {
-    rewrites = service.RewriteBatch(
-        std::vector<ServiceRequest>(kCopies, rewrite));
+    rewrites = RunOnPool(service, kCopies, [&rewrite](size_t) {
+      return RunEngine("minicon", rewrite);
+    });
   });
   std::thread answerer([&] {
-    answers = service.AnswerBatch(std::vector<AnswerRequest>(kCopies, answer));
+    answers = RunOnPool(service, kCopies,
+                        [&answer](size_t) { return AnswerQuery(answer); });
   });
   rewriter.join();
   answerer.join();
-  ASSERT_TRUE(rewrites->ok()) << rewrites->status().ToString();
-  ASSERT_TRUE(answers->ok()) << answers->status().ToString();
-  ASSERT_EQ(rewrites->value().stats.ok, kCopies);
-  ASSERT_EQ(answers->value().stats.ok, kCopies);
+  ASSERT_EQ(rewrites.size(), kCopies);
+  ASSERT_EQ(answers.size(), kCopies);
+  for (size_t i = 0; i < kCopies; ++i) {
+    ASSERT_TRUE(rewrites[i].ok()) << rewrites[i].status().ToString();
+    ASSERT_TRUE(answers[i].ok()) << answers[i].status().ToString();
+  }
 
   // The two kinds agree: evaluating the minicon union over extents equals
   // the inverse-rules certain answers.
   Database extents = MaterializeViews(s.views, s.base).value();
   for (size_t i = 0; i < kCopies; ++i) {
     Relation via_union =
-        EvaluateRewritingUnion(s.query,
-                               rewrites->value().responses[i].response.rewritings,
+        EvaluateRewritingUnion(s.query, rewrites[i].value().rewritings,
                                extents)
             .value();
-    EXPECT_TRUE(Relation::SameSet(via_union,
-                                  answers->value().responses[i].response.result));
+    EXPECT_TRUE(Relation::SameSet(via_union, answers[i].value().result));
   }
 
   // Lifetime stats count both kinds.

@@ -88,6 +88,12 @@ class RuleScopingTest(unittest.TestCase):
             findings_for("src/storage/x.cc",
                          '#include "service/service.h"\n'))
 
+    def test_service_reaches_neither_workload_nor_answering(self):
+        for header in ("workload/registry.h", "answering/answering.h"):
+            self.assertIn(
+                (1, "layering"),
+                findings_for("src/service/x.cc", '#include "%s"\n' % header))
+
     def test_only_testing_includes_frontend(self):
         for module in ("util", "service", "workload", "storage"):
             self.assertIn(

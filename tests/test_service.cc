@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "containment/oracle.h"
-#include "service/batch.h"
 #include "service/mpmc_queue.h"
 #include "service/service.h"
 #include "workload/registry.h"
@@ -17,20 +16,83 @@
 namespace aqv {
 namespace {
 
-/// The concurrent service layer: determinism across worker counts, a
-/// caller-owned oracle left in place by the batch helpers, exact sharded
-/// oracle stats under a single thread, the SubmitTask contract
-/// (exactly-once, drain on destruction, count before delivery), and a
-/// mixed-scenario stress run (the TSan target in CI).
+/// The concurrent service layer: the SubmitTask contract (exactly-once,
+/// drain on destruction, count before delivery), engine runs on the pool
+/// that match direct calls and do not depend on the worker count, exact
+/// sharded oracle stats under a single thread, and a mixed-scenario
+/// stress run on one caller-owned oracle (the TSan target in CI).
 
-/// Everything about a response that must be scheduling-independent — the
-/// payload, minus timing and minus per-request oracle deltas (which under
-/// a shared concurrent oracle include other workers' traffic by design).
-std::string Payload(const ServiceResponse& r) {
-  std::string s = r.engine + "|" + (r.status.ok() ? "ok" : "err") + "|";
-  if (!r.status.ok()) return s + r.status.ToString();
-  const RewriteResponse& resp = r.response;
-  s += resp.engine + "|";
+/// The scenario × engine grid: `repeats` fresh instances of every packaged
+/// scenario (seeds `seed + rep`), each rewritten by every engine. The
+/// requests point into `scenarios`, which the grid owns.
+struct Grid {
+  std::vector<std::unique_ptr<Scenario>> scenarios;
+  std::vector<std::string> engines;
+  std::vector<RewriteRequest> requests;
+  /// "scenario/engine/rep:N", for assertion messages.
+  std::vector<std::string> labels;
+
+  size_t size() const { return requests.size(); }
+};
+
+Grid MixedGrid(int repeats = 1, uint64_t seed = 7) {
+  Grid grid;
+  for (const std::string& name : ScenarioNames()) {
+    for (int rep = 0; rep < repeats; ++rep) {
+      auto scenario = MakeScenarioByName(
+          name, seed + static_cast<uint64_t>(rep), /*db_size=*/30);
+      EXPECT_TRUE(scenario.ok()) << scenario.status().ToString();
+      grid.scenarios.push_back(
+          std::make_unique<Scenario>(std::move(scenario).value()));
+      const Scenario& owned = *grid.scenarios.back();
+      for (const std::string& engine : EngineNames()) {
+        RewriteRequest request;
+        request.query.disjuncts.push_back(owned.query);
+        request.views = &owned.views;
+        grid.engines.push_back(engine);
+        grid.requests.push_back(std::move(request));
+        grid.labels.push_back(name + "/" + engine + "/rep:" +
+                              std::to_string(rep));
+      }
+    }
+  }
+  return grid;
+}
+
+/// Submits `run(i)` for every i in [0, n) as its own pool task and
+/// collects the results in order through futures.
+template <typename Run>
+auto RunOnPool(RewriteService& service, size_t n, const Run& run) {
+  using R = decltype(run(size_t{0}));
+  std::vector<std::future<R>> futures;
+  for (size_t i = 0; i < n; ++i) {
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [&run, i] { return run(i); });
+    futures.push_back(task->get_future());
+    Status submitted = service.SubmitTask([task] { (*task)(); });
+    EXPECT_TRUE(submitted.ok()) << submitted.ToString();
+  }
+  std::vector<R> results;
+  for (auto& f : futures) results.push_back(f.get());
+  return results;
+}
+
+/// Runs requests[i] through grid.engines[i], one pool task each.
+std::vector<Result<RewriteResponse>> RunGrid(
+    RewriteService& service, const Grid& grid,
+    const std::vector<RewriteRequest>& requests) {
+  return RunOnPool(service, requests.size(), [&grid, &requests](size_t i) {
+    return RunEngine(grid.engines[i], requests[i]);
+  });
+}
+
+/// Everything about an engine run that must be scheduling-independent —
+/// the payload, minus per-request oracle deltas (which under a shared
+/// concurrent oracle include other workers' traffic by design).
+std::string Payload(const Result<RewriteResponse>& r) {
+  if (!r.ok()) return "err|" + r.status().ToString();
+  const RewriteResponse& resp = r.value();
+  std::string s = resp.engine + "|";
   s += resp.equivalent_exists ? "eq|" : "noeq|";
   s += resp.rewritings.ToString() + "|";
   s += resp.witness.has_value() ? resp.witness->ToString() : "<none>";
@@ -39,22 +101,6 @@ std::string Payload(const ServiceResponse& r) {
   s += "|comb:" + std::to_string(resp.stats.combinations);
   s += "|checks:" + std::to_string(resp.stats.checks);
   return s;
-}
-
-ScenarioRequestBatch MixedBatch(int repeats = 1, uint64_t seed = 7,
-                                int db_size = 30) {
-  auto batch = MakeBatchFromScenarios(ScenarioNames(), EngineNames(), repeats,
-                                      seed, db_size);
-  EXPECT_TRUE(batch.ok()) << batch.status().ToString();
-  return std::move(batch).value();
-}
-
-BatchResult RunBatch(const ScenarioRequestBatch& batch,
-                     ServiceOptions options) {
-  RewriteService service(options);
-  auto result = service.RewriteBatch(ToServiceRequests(batch));
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return std::move(result).value();
 }
 
 TEST(MpmcQueueTest, FifoAndDrainAfterClose) {
@@ -99,97 +145,38 @@ TEST(MpmcQueueTest, ConcurrentProducersConsumersLoseNothing) {
   EXPECT_EQ(sum.load(), kProducers * kPerProducer * (kPerProducer + 1) / 2);
 }
 
-TEST(MakeBatchFromScenariosTest, ShapesAndValidation) {
-  ScenarioRequestBatch batch = MixedBatch(/*repeats=*/2);
-  size_t expected =
-      ScenarioNames().size() * EngineNames().size() * 2;
-  EXPECT_EQ(batch.size(), expected);
-  EXPECT_EQ(batch.engines.size(), expected);
-  EXPECT_EQ(batch.labels.size(), expected);
-  EXPECT_EQ(batch.scenarios.size(), ScenarioNames().size() * 2);
-  for (const RewriteRequest& r : batch.requests) {
-    EXPECT_NE(r.views, nullptr);
-    EXPECT_EQ(r.query.size(), 1u);
-  }
-
-  EXPECT_FALSE(MakeBatchFromScenarios({}, EngineNames(), 1, 1, 10).ok());
-  EXPECT_FALSE(MakeBatchFromScenarios(ScenarioNames(), {}, 1, 1, 10).ok());
-  EXPECT_FALSE(
-      MakeBatchFromScenarios(ScenarioNames(), EngineNames(), 0, 1, 10).ok());
-  auto bad_engine =
-      MakeBatchFromScenarios(ScenarioNames(), {"gqr"}, 1, 1, 10);
-  ASSERT_FALSE(bad_engine.ok());
-  EXPECT_EQ(bad_engine.status().code(), StatusCode::kNotFound);
-  auto bad_scenario =
-      MakeBatchFromScenarios({"atlantis"}, EngineNames(), 1, 1, 10);
-  ASSERT_FALSE(bad_scenario.ok());
-  EXPECT_EQ(bad_scenario.status().code(), StatusCode::kNotFound);
-}
-
 TEST(RewriteServiceTest, OneWorkerMatchesDirectEngineCalls) {
-  // The acceptance bar: a 1-worker service emits responses bit-identical
-  // (payload-wise) to direct RewritingEngine calls — the service changes
-  // performance, never results.
-  ScenarioRequestBatch batch = MixedBatch();
+  // The acceptance bar: engine runs on a 1-worker pool emit responses
+  // identical (payload-wise) to direct RewritingEngine calls — the service
+  // changes performance, never results.
+  Grid grid = MixedGrid();
   ServiceOptions options;
   options.num_workers = 1;
-  BatchResult result = RunBatch(batch, options);
-  ASSERT_EQ(result.responses.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto direct = RunEngine(batch.engines[i], batch.requests[i]);
-    ASSERT_TRUE(direct.ok()) << batch.labels[i];
-    ServiceResponse expected;
-    expected.engine = batch.engines[i];
-    expected.response = std::move(direct).value();
-    EXPECT_EQ(Payload(result.responses[i]), Payload(expected))
-        << batch.labels[i];
+  RewriteService service(options);
+  auto results = RunGrid(service, grid, grid.requests);
+  ASSERT_EQ(results.size(), grid.size());
+  for (size_t i = 0; i < grid.size(); ++i) {
+    auto direct = RunEngine(grid.engines[i], grid.requests[i]);
+    ASSERT_TRUE(direct.ok()) << grid.labels[i];
+    EXPECT_EQ(Payload(results[i]), Payload(direct)) << grid.labels[i];
   }
 }
 
 TEST(RewriteServiceTest, DeterministicAcrossWorkerCounts) {
-  ScenarioRequestBatch batch = MixedBatch(/*repeats=*/2);
+  Grid grid = MixedGrid(/*repeats=*/2);
   ServiceOptions one;
   one.num_workers = 1;
   ServiceOptions many;
   many.num_workers = 4;
-  BatchResult r1 = RunBatch(batch, one);
-  BatchResult rn = RunBatch(batch, many);
-  ASSERT_EQ(r1.responses.size(), rn.responses.size());
-  for (size_t i = 0; i < r1.responses.size(); ++i) {
-    EXPECT_EQ(Payload(r1.responses[i]), Payload(rn.responses[i]))
-        << batch.labels[i];
+  RewriteService serial(one);
+  RewriteService parallel(many);
+  auto r1 = RunGrid(serial, grid, grid.requests);
+  auto rn = RunGrid(parallel, grid, grid.requests);
+  ASSERT_EQ(r1.size(), rn.size());
+  for (size_t i = 0; i < r1.size(); ++i) {
+    EXPECT_EQ(Payload(r1[i]), Payload(rn[i])) << grid.labels[i];
   }
-  EXPECT_EQ(rn.stats.num_workers, 4);
-}
-
-TEST(RewriteServiceTest, BatchKeepsTheCallersOracle) {
-  // The service owns no oracle: a request that carries one runs against
-  // it, so every lookup of the batch lands on the caller's oracle, and the
-  // payloads still match a batch that decides containment directly.
-  ScenarioRequestBatch batch = MixedBatch();
-  std::vector<ServiceRequest> requests = ToServiceRequests(batch);
-  ContainmentOracle oracle;
-  std::vector<ServiceRequest> memoized = requests;
-  for (ServiceRequest& job : memoized) job.request.options.oracle = &oracle;
-  ServiceOptions options;
-  options.num_workers = 1;
-  RewriteService service(options);
-  auto with_oracle = service.RewriteBatch(memoized);
-  auto direct = service.RewriteBatch(requests);
-  ASSERT_TRUE(with_oracle.ok() && direct.ok());
-  OracleStats s = oracle.stats();
-  EXPECT_GT(s.lookups(), 0u);
-  uint64_t reported = 0;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const ServiceResponse& memo = with_oracle.value().responses[i];
-    EXPECT_EQ(Payload(memo), Payload(direct.value().responses[i]))
-        << batch.labels[i];
-    reported += memo.response.stats.oracle.lookups();
-    EXPECT_EQ(direct.value().responses[i].response.stats.oracle.lookups(), 0u)
-        << batch.labels[i];
-  }
-  // One worker: the per-response deltas partition the oracle's lookups.
-  EXPECT_EQ(reported, s.lookups());
+  EXPECT_EQ(parallel.lifetime_stats().num_workers, 4);
 }
 
 TEST(RewriteServiceTest, ShardedOracleStatsExactUnderSingleThread) {
@@ -197,19 +184,19 @@ TEST(RewriteServiceTest, ShardedOracleStatsExactUnderSingleThread) {
   // from one thread, a sharded oracle's aggregated totals must be exact —
   // equal to the 1-shard oracle's on the same call sequence, internally
   // consistent, and reflected one-for-one in size().
-  ScenarioRequestBatch batch = MixedBatch();
+  Grid grid = MixedGrid();
   ContainmentOracle sharded(/*max_entries=*/size_t{1} << 20,
                             /*num_shards=*/4);
   ContainmentOracle flat(/*max_entries=*/size_t{1} << 20, /*num_shards=*/1);
   EXPECT_EQ(sharded.num_shards(), 4u);
   EXPECT_EQ(flat.num_shards(), 1u);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    RewriteRequest with_sharded = batch.requests[i];
+  for (size_t i = 0; i < grid.size(); ++i) {
+    RewriteRequest with_sharded = grid.requests[i];
     with_sharded.options.oracle = &sharded;
-    RewriteRequest with_flat = batch.requests[i];
+    RewriteRequest with_flat = grid.requests[i];
     with_flat.options.oracle = &flat;
-    ASSERT_TRUE(RunEngine(batch.engines[i], with_sharded).ok());
-    ASSERT_TRUE(RunEngine(batch.engines[i], with_flat).ok());
+    ASSERT_TRUE(RunEngine(grid.engines[i], with_sharded).ok());
+    ASSERT_TRUE(RunEngine(grid.engines[i], with_flat).ok());
   }
   OracleStats s = sharded.stats();
   OracleStats f = flat.stats();
@@ -229,33 +216,6 @@ TEST(RewriteServiceTest, ShardedOracleStatsExactUnderSingleThread) {
   EXPECT_EQ(sharded.size(), 0u);
 }
 
-TEST(RewriteServiceTest, PerResponseFailuresDoNotFailTheBatch) {
-  // A CQ engine handed a 2-disjunct union fails that request only.
-  ScenarioRequestBatch batch = MixedBatch();
-  std::vector<ServiceRequest> requests = ToServiceRequests(batch);
-  ServiceRequest broken = requests[0];
-  broken.engine = "lmss";
-  broken.request.query.disjuncts.push_back(
-      broken.request.query.disjuncts[0]);
-  requests.push_back(std::move(broken));
-
-  ServiceOptions options;
-  options.num_workers = 2;
-  RewriteService service(options);
-  auto result = service.RewriteBatch(requests);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().stats.requests, requests.size());
-  EXPECT_EQ(result.value().stats.failed, 1u);
-  EXPECT_EQ(result.value().stats.ok, requests.size() - 1);
-  const ServiceResponse& last = result.value().responses.back();
-  ASSERT_FALSE(last.status.ok());
-  EXPECT_EQ(last.status.code(), StatusCode::kInvalidArgument);
-  // The lifetime counters agree with the batch, failure included.
-  ServiceStats lifetime = service.lifetime_stats();
-  EXPECT_EQ(lifetime.failed, 1u);
-  EXPECT_EQ(lifetime.ok, requests.size() - 1);
-}
-
 TEST(ServiceStatsTest, NearestRankPercentileSmallSamples) {
   // True nearest-rank: the ceil(q*n)-th order statistic. Regression: the
   // old rounding (q*(n-1)+0.5) reported the *larger* of 2 samples as p50.
@@ -273,36 +233,23 @@ TEST(ServiceStatsTest, NearestRankPercentileSmallSamples) {
   EXPECT_DOUBLE_EQ(NearestRankPercentile({1.0, 5.0, 9.0}, 1.00), 9.0);
 }
 
-TEST(RewriteServiceTest, BatchStatsAreConsistent) {
-  ScenarioRequestBatch batch = MixedBatch(/*repeats=*/2);
-  ServiceOptions options;
-  options.num_workers = 2;
-  BatchResult result = RunBatch(batch, options);
-  const ServiceStats& s = result.stats;
-  EXPECT_EQ(s.requests, batch.size());
-  EXPECT_EQ(s.ok + s.failed, s.requests);
-  EXPECT_EQ(s.failed, 0u);
-  EXPECT_GT(s.wall_ms, 0.0);
-  EXPECT_GT(s.throughput_rps, 0.0);
-  EXPECT_LE(s.p50_ms, s.p95_ms);
-  EXPECT_LE(s.p95_ms, s.max_ms);
-  EXPECT_EQ(s.num_workers, 2);
-}
-
 TEST(RewriteServiceTest, StressMixedScenariosManyWorkers) {
   // The TSan target: 8 workers hammering one caller-owned 4-shard oracle
-  // over three rounds of the full mixed grid.
-  ScenarioRequestBatch batch = MixedBatch(/*repeats=*/3, /*seed=*/21);
-  std::vector<ServiceRequest> requests = ToServiceRequests(batch);
+  // over three rounds of the full mixed grid, one pool task per request.
+  Grid grid = MixedGrid(/*repeats=*/3, /*seed=*/21);
   ContainmentOracle oracle(/*max_entries=*/size_t{1} << 20, /*num_shards=*/4);
-  for (ServiceRequest& job : requests) job.request.options.oracle = &oracle;
+  std::vector<RewriteRequest> requests = grid.requests;
+  for (RewriteRequest& request : requests) request.options.oracle = &oracle;
   ServiceOptions options;
   options.num_workers = 8;
   RewriteService service(options);
   for (int round = 0; round < 3; ++round) {
-    auto result = service.RewriteBatch(requests);
-    ASSERT_TRUE(result.ok()) << "round " << round;
-    EXPECT_EQ(result.value().stats.failed, 0u) << "round " << round;
+    auto results = RunGrid(service, grid, requests);
+    for (size_t i = 0; i < results.size(); ++i) {
+      EXPECT_TRUE(results[i].ok())
+          << "round " << round << " " << grid.labels[i] << ": "
+          << results[i].status().ToString();
+    }
   }
   ServiceStats lifetime = service.lifetime_stats();
   EXPECT_EQ(lifetime.requests, 3 * requests.size());

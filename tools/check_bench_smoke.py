@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sanity-checks a merged bench report (tools/run_bench.sh output).
+"""Sanity-checks the F5 and F12 google/benchmark JSON reports.
 
 Asserts the cached-index machinery actually engaged during the run:
 every F5 Indexed:1 evaluation benchmark must report a nonzero
@@ -8,15 +8,19 @@ caches, so a warm run that builds anything — or hits nothing — means
 the cache is broken or disabled), and every Indexed:0 baseline must
 report zero `index_hits`.
 
-When the report includes the F12 storage suite, also asserts the
-persisted-extents claims: every Mmap:1 persisted-answer benchmark must
-produce answers through warm cached indexes (index_hits > 0,
-index_builds == 0) and hold its post-answer resident growth below the
-on-disk database size (`rss_answer_mb < file_mb` — the point of the
-mmap backend), while the Mmap:0 eager baseline must still answer
-identically (same `answers` counter as its mmap twin).
+Also asserts the persisted-extents claims of the F12 storage suite:
+every Mmap:1 persisted-answer benchmark must produce answers through
+warm cached indexes (index_hits > 0, index_builds == 0) and hold its
+post-answer resident growth below the on-disk database size
+(`rss_answer_mb < file_mb` — the point of the mmap backend), while the
+Mmap:0 eager baseline must still answer identically (same `answers`
+counter as its mmap twin).
 
-Usage: tools/check_bench_smoke.py BENCH.json
+Write the reports with each binary's own flags, e.g.
+  build/bench/bench_f5_eval_speedup --benchmark_min_time=0 \
+      --benchmark_out=f5.json --benchmark_out_format=json
+
+Usage: tools/check_bench_smoke.py F5.json F12.json
 """
 
 import json
@@ -90,23 +94,16 @@ def check_f12(suite):
     return checked
 
 
+def load(path):
+    with open(path) as f:
+        return json.load(f)
+
+
 def main():
-    if len(sys.argv) != 2:
-        fail(f"usage: {sys.argv[0]} BENCH.json")
-    with open(sys.argv[1]) as f:
-        merged = json.load(f)
-    suites = merged.get("suites", {})
-
-    f5 = suites.get("bench_f5_eval_speedup")
-    if f5 is None:
-        fail("no bench_f5_eval_speedup suite in the report")
-    checked = check_f5(f5)
-
-    f12_checked = 0
-    f12 = suites.get("bench_f12_storage")
-    if f12 is not None:
-        f12_checked = check_f12(f12)
-
+    if len(sys.argv) != 3:
+        fail(f"usage: {sys.argv[0]} F5.json F12.json")
+    checked = check_f5(load(sys.argv[1]))
+    f12_checked = check_f12(load(sys.argv[2]))
     print(f"check_bench_smoke: OK ({checked} F5 benchmarks, "
           f"{f12_checked} F12 benchmarks checked)")
 

@@ -68,12 +68,10 @@ ALLOWED = {
     },
     "storage": {"storage", "eval", "views", "cq", "util"},
     "workload": {
-        "workload", "answering", "rewriting", "eval", "views", "containment",
-        "cq", "util",
+        "workload", "rewriting", "eval", "views", "containment", "cq", "util",
     },
     "service": {
-        "service", "answering", "workload", "rewriting", "eval", "views",
-        "containment", "cq", "util",
+        "service", "rewriting", "eval", "views", "containment", "cq", "util",
     },
     "frontend": {
         "frontend", "service", "storage", "workload", "answering", "rewriting",
