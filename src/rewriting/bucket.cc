@@ -33,49 +33,40 @@ void FillBucket(const Query& q, int gi, const ViewSet& views,
   }
 }
 
-/// Builds the "probe" expansion of a combination directly over q's variable
-/// space (q vars keep their ids; candidate fresh vars and imported view
-/// existentials extend it). Homomorphisms from the probe into q yield the
-/// variable identifications ("added join predicates" in the classic Bucket
-/// description) that can make a failing candidate contained.
-Query BuildProbe(const Query& q, const ViewSet& views,
-                 const std::vector<const ViewAtomCandidate*>& picks) {
+/// A bucket entry unfolded over its view definition: the view body with
+/// each view head variable bound to the entry's argument at its first head
+/// position. Ids below q.num_vars() are q's variables; q.num_vars() + k is
+/// entry-local variable k (the entry's fresh variables, then the view's
+/// existentials).
+struct Unfolding {
+  std::vector<Atom> atoms;
+  int num_local = 0;
+  /// False when the unfolding alone has no homomorphism into q with q's
+  /// head fixed. The enrichment probe restricted to one pick's atoms is
+  /// that pick's unfolding, so a probe holding this entry cannot map.
+  bool maps_into_q = true;
+};
+
+/// The enrichment probe of a combination: q's head over the picks'
+/// unfoldings, q's variables keeping their ids and each pick's locals
+/// following in pick order. Homomorphisms from it into q identify fresh
+/// variables with q terms (the "added join predicates" of classic Bucket).
+Query BuildProbe(const Query& q,
+                 const std::vector<const Unfolding*>& unfoldings) {
   Query probe(q.catalog());
   for (int v = 0; v < q.num_vars(); ++v) probe.AddVariable(q.var_name(v));
   probe.set_head(q.head());
-
-  // Pass 1: reserve every pick's fresh slots contiguously, before any view
-  // body imports extend the variable space further.
-  int total_fresh = 0;
-  for (const ViewAtomCandidate* pick : picks) total_fresh += pick->num_fresh;
-  for (int i = 0; i < total_fresh; ++i) {
-    probe.AddVariable("PF" + std::to_string(i));
-  }
-  std::vector<Atom> remapped;
-  int fresh_base = q.num_vars();
-  for (const ViewAtomCandidate* pick : picks) {
-    Atom a = pick->atom;
-    for (Term& t : a.args) {
-      if (t.is_var() && t.var() >= q.num_vars()) {
-        t = Term::Var(fresh_base + (t.var() - q.num_vars()));
+  for (const Unfolding* u : unfoldings) {
+    int offset = probe.num_vars() - q.num_vars();
+    probe.AddVariables(u->num_local, "P");
+    for (Atom a : u->atoms) {
+      for (Term& t : a.args) {
+        if (t.is_var() && t.var() >= q.num_vars()) {
+          t = Term::Var(t.var() + offset);
+        }
       }
+      probe.AddBodyAtom(std::move(a));
     }
-    remapped.push_back(std::move(a));
-    fresh_base += pick->num_fresh;
-  }
-
-  // Pass 2: unfold each view atom into the probe.
-  for (size_t i = 0; i < picks.size(); ++i) {
-    const Atom& a = remapped[i];
-    const Query& def = views.FindByPred(a.pred)->definition;
-    VarImporter imp(def, &probe, "pe" + std::to_string(i) + "_");
-    for (int j = 0; j < a.arity(); ++j) {
-      Term h = def.head().args[j];
-      if (h.is_var() && !imp.HasMapping(h.var())) {
-        imp.Preset(h.var(), a.args[j]);
-      }
-    }
-    for (const Atom& b : def.body()) probe.AddBodyAtom(imp.ImportAtom(b));
   }
   return probe;
 }
@@ -84,23 +75,146 @@ Query BuildProbe(const Query& q, const ViewSet& views,
 /// whose fresh variables are replaced by q-space terms.
 std::vector<ViewAtomCandidate> EnrichPicks(
     const Query& q, const std::vector<const ViewAtomCandidate*>& picks,
-    const Substitution& g) {
+    const std::vector<const Unfolding*>& unfoldings, const Substitution& g) {
   std::vector<ViewAtomCandidate> out;
-  int fresh_base = q.num_vars();
-  for (const ViewAtomCandidate* pick : picks) {
-    ViewAtomCandidate e = *pick;
+  int offset = 0;
+  for (size_t i = 0; i < picks.size(); ++i) {
+    ViewAtomCandidate e = *picks[i];
     for (Term& t : e.atom.args) {
       if (!t.is_var()) continue;
-      VarId v = t.var();
-      if (v >= q.num_vars()) v = fresh_base + (v - q.num_vars());
-      if (v < g.num_source_vars() && g.IsBound(v)) t = g.Get(v);
+      VarId v = t.var() >= q.num_vars() ? t.var() + offset : t.var();
+      if (g.IsBound(v)) t = g.Get(v);
     }
-    fresh_base += e.num_fresh;
+    offset += unfoldings[i]->num_local;
     e.num_fresh = 0;  // all candidate-local vars are now q terms
     out.push_back(std::move(e));
   }
   return out;
 }
+
+Result<Unfolding> Unfold(const Query& q, const ViewAtomCandidate& entry,
+                         const BucketOptions& options) {
+  const Query& def = entry.view->definition;
+  std::vector<std::optional<Term>> bound(def.num_vars());
+  for (int j = 0; j < def.head().arity(); ++j) {
+    Term h = def.head().args[j];
+    if (h.is_var() && !bound[h.var()].has_value()) {
+      bound[h.var()] = entry.atom.args[j];
+    } else if ((h.is_var() ? *bound[h.var()] : h) != entry.atom.args[j]) {
+      // MakeCandidateFromUnifier builds the entry's atom from this head.
+      return Status::Internal("bucket entry " + entry.ToString(q) +
+                              " disagrees with the head of its view");
+    }
+  }
+  Unfolding u;
+  u.num_local = entry.num_fresh;
+  for (const Atom& b : def.body()) {
+    Atom a = b;
+    for (Term& t : a.args) {
+      if (t.is_const()) continue;
+      std::optional<Term>& slot = bound[t.var()];
+      if (!slot.has_value()) slot = Term::Var(q.num_vars() + u.num_local++);
+      t = *slot;
+    }
+    u.atoms.push_back(std::move(a));
+  }
+  if (options.max_enrichments_per_combination == 0) return u;
+  HomSearchOptions hopts;
+  hopts.node_budget = options.containment.node_budget;
+  Result<bool> maps = FindHomomorphism(BuildProbe(q, {&u}), q, hopts);
+  // An exhausted budget decides nothing: the probe then runs and reports.
+  u.maps_into_q = !maps.ok() || *maps;
+  return u;
+}
+
+/// How a combination fares under BuildAndVerify's checks.
+enum class Verdict { kUnbuildable, kFailed, kPassed };
+
+/// Decides comparison-free combinations as BuildAndVerify would, without
+/// building, naming, normalizing or expanding a rewriting. The picks'
+/// induced equalities are unioned over q's variables, and the expansion is
+/// assembled from the unfoldings under those classes with its variables
+/// numbered by first appearance, as ExpandRewriting numbers them: the
+/// containment checks (and an attached oracle) see the same query.
+class UnfoldedCheck {
+ public:
+  UnfoldedCheck(const Query& q, const BucketOptions& options)
+      : q_(q), options_(options) {}
+
+  Result<Verdict> Decide(const std::vector<const ViewAtomCandidate*>& picks,
+                         const std::vector<const Unfolding*>& unfoldings) {
+    const int nq = q_.num_vars();
+    parent_.resize(nq);
+    for (int v = 0; v < nq; ++v) parent_[v] = v;
+    pinned_.assign(nq, std::nullopt);
+    for (const ViewAtomCandidate* pick : picks) {
+      for (auto [v, t] : pick->induced_equalities) {
+        if (!Unite(v, t)) return Verdict::kUnbuildable;  // constant clash
+      }
+    }
+    int slots = nq;
+    for (const Unfolding* u : unfoldings) slots += u->num_local;
+    ids_.assign(slots, -1);
+    Query expansion(q_.catalog());
+    auto map_term = [&](Term t, int offset) -> Term {
+      if (t.is_const()) return t;
+      int slot = t.var() < nq ? Find(t.var()) : t.var() + offset;
+      if (slot < nq && pinned_[slot].has_value()) return *pinned_[slot];
+      if (ids_[slot] < 0) ids_[slot] = expansion.AddVariable("E");
+      return Term::Var(ids_[slot]);
+    };
+    Atom head = q_.head();
+    for (Term& t : head.args) t = map_term(t, 0);
+    expansion.set_head(std::move(head));
+    int offset = 0;
+    for (const Unfolding* u : unfoldings) {
+      for (const Atom& a : u->atoms) {
+        Atom b = a;
+        for (Term& t : b.args) t = map_term(t, offset);
+        expansion.AddBodyAtom(std::move(b));
+      }
+      offset += u->num_local;
+    }
+    // q's variables reach an unfolding only through its entry's atom (view
+    // heads are safe), so this is BuildRewriting's unsafe-head test.
+    if (!expansion.Validate().ok()) return Verdict::kUnbuildable;
+
+    AQV_ASSIGN_OR_RETURN(bool contained,
+                         IsContainedIn(expansion, q_, options_.containment));
+    if (contained && options_.require_equivalent) {
+      AQV_ASSIGN_OR_RETURN(contained,
+                           IsContainedIn(q_, expansion, options_.containment));
+    }
+    return contained ? Verdict::kPassed : Verdict::kFailed;
+  }
+
+ private:
+  int Find(int v) const {
+    while (parent_[v] != v) v = parent_[v];
+    return v;
+  }
+
+  /// Adds the equality v = t; false when a class meets two constants.
+  bool Unite(VarId v, Term t) {
+    int a = Find(v);
+    if (t.is_var()) {
+      int b = Find(t.var());
+      if (a == b) return true;
+      parent_[b] = a;
+      if (!pinned_[b].has_value()) return true;
+      t = *pinned_[b];
+    }
+    if (pinned_[a].has_value()) return *pinned_[a] == t;
+    pinned_[a] = t;
+    return true;
+  }
+
+  const Query& q_;
+  const BucketOptions& options_;
+  std::vector<int> parent_;  // union-find over q's variables
+  std::vector<std::optional<Term>> pinned_;
+  std::vector<int> ids_;  // candidate-space slot -> expansion variable
+};
 
 }  // namespace
 
@@ -123,47 +237,81 @@ Result<BucketResult> BucketRewrite(const Query& q, const ViewSet& views,
     }
   }
 
+  // Unfold every entry once. Comparison containment runs the
+  // linearization test on the normalized, named rewriting, so a query or
+  // view with comparisons keeps BuildAndVerify per combination.
+  bool with_comparisons = q.has_comparisons();
+  std::vector<std::vector<Unfolding>> unfolded(n);
+  for (int i = 0; i < n; ++i) {
+    for (const ViewAtomCandidate& entry : result.buckets[i]) {
+      AQV_ASSIGN_OR_RETURN(Unfolding u, Unfold(q, entry, options));
+      with_comparisons |= entry.view->definition.has_comparisons();
+      unfolded[i].push_back(std::move(u));
+    }
+  }
+
   // Cartesian product over buckets.
   std::vector<int> choice(n, 0);
+  std::vector<const ViewAtomCandidate*> picks(n);
+  std::vector<const Unfolding*> unfoldings(n);
+  UnfoldedCheck unfolded_check(q, options);
   QueryDeduper seen_rewritings;
+  auto keep = [&](Query rewriting) {
+    if (seen_rewritings.Insert(rewriting)) {
+      result.rewritings.disjuncts.push_back(std::move(rewriting));
+    }
+  };
+  auto try_candidate =
+      [&](const std::vector<const ViewAtomCandidate*>& cand_picks)
+      -> Result<bool> {
+    AQV_ASSIGN_OR_RETURN(
+        ExpansionCheck check,
+        BuildAndVerify(q, views, cand_picks,
+                       /*include_comparisons=*/q.has_comparisons(),
+                       options.require_equivalent ? VerifyLevel::kEquivalent
+                                                  : VerifyLevel::kContained,
+                       options.containment));
+    if (!check.rewriting.has_value()) return false;
+    ++result.candidates_checked;
+    if (!check.passed) return false;
+    keep(std::move(*check.rewriting));
+    return true;
+  };
   for (;;) {
     if (++result.combinations_enumerated > options.max_combinations) {
       return Status::ResourceExhausted(
           "bucket combinations exceeded max_combinations=" +
           std::to_string(options.max_combinations));
     }
-    // Deduplicate picks by candidate identity (one entry may serve several
-    // subgoals).
-    std::vector<const ViewAtomCandidate*> picks;
-    CandidateDeduper pick_seen;
     for (int i = 0; i < n; ++i) {
-      const ViewAtomCandidate* c = &result.buckets[i][choice[i]];
-      if (pick_seen.insert(*c).second) picks.push_back(c);
+      picks[i] = &result.buckets[i][choice[i]];
+      unfoldings[i] = &unfolded[i][choice[i]];
     }
-    auto try_candidate =
-        [&](const std::vector<const ViewAtomCandidate*>& cand_picks)
-        -> Result<bool> {
-      AQV_ASSIGN_OR_RETURN(
-          ExpansionCheck check,
-          BuildAndVerify(q, views, cand_picks,
-                         /*include_comparisons=*/q.has_comparisons(),
-                         options.require_equivalent ? VerifyLevel::kEquivalent
-                                                    : VerifyLevel::kContained,
-                         options.containment));
-      if (!check.rewriting.has_value()) return false;
-      ++result.candidates_checked;
-      if (!check.passed) return false;
-      if (seen_rewritings.Insert(*check.rewriting)) {
-        result.rewritings.disjuncts.push_back(std::move(*check.rewriting));
+    bool direct_hit = false;
+    if (with_comparisons) {
+      AQV_ASSIGN_OR_RETURN(direct_hit, try_candidate(picks));
+    } else {
+      AQV_ASSIGN_OR_RETURN(Verdict verdict,
+                           unfolded_check.Decide(picks, unfoldings));
+      if (verdict != Verdict::kUnbuildable) ++result.candidates_checked;
+      direct_hit = verdict == Verdict::kPassed;
+      if (direct_hit) {
+        // Only a passing combination is named: for the deduper and output.
+        std::optional<Query> rewriting =
+            BuildRewriting(q, picks, /*include_comparisons=*/false);
+        if (!rewriting.has_value()) {
+          return Status::Internal("a bucket combination passed on its "
+                                  "unfoldings but BuildRewriting failed");
+        }
+        keep(std::move(*rewriting));
       }
-      return true;
-    };
-
-    AQV_ASSIGN_OR_RETURN(bool direct_hit, try_candidate(picks));
-    if (!direct_hit && options.max_enrichments_per_combination > 0) {
+    }
+    if (!direct_hit && options.max_enrichments_per_combination > 0 &&
+        std::all_of(unfoldings.begin(), unfoldings.end(),
+                    [](const Unfolding* u) { return u->maps_into_q; })) {
       // Classic Bucket's containment check may add join predicates: probe
       // homomorphisms into q identify fresh variables with q terms.
-      Query probe = BuildProbe(q, views, picks);
+      Query probe = BuildProbe(q, unfoldings);
       HomSearchOptions hopts;
       hopts.node_budget = options.containment.node_budget;
       std::vector<Substitution> enrichments;
@@ -175,12 +323,10 @@ Result<BucketResult> BucketRewrite(const Query& q, const ViewSet& views,
                            ForEachHomomorphism(probe, q, hopts, cb));
       (void)homs;
       for (const Substitution& g : enrichments) {
-        std::vector<ViewAtomCandidate> enriched = EnrichPicks(q, picks, g);
+        std::vector<ViewAtomCandidate> enriched =
+            EnrichPicks(q, picks, unfoldings, g);
         std::vector<const ViewAtomCandidate*> eps;
-        CandidateDeduper ekeys;
-        for (const ViewAtomCandidate& e : enriched) {
-          if (ekeys.insert(e).second) eps.push_back(&e);
-        }
+        for (const ViewAtomCandidate& e : enriched) eps.push_back(&e);
         AQV_ASSIGN_OR_RETURN(bool hit, try_candidate(eps));
         (void)hit;
       }

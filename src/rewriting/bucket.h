@@ -32,7 +32,8 @@ struct BucketOptions {
   /// Bucket validation may still succeed after *adding join predicates*:
   /// we enumerate homomorphisms from the combination's expansion into q and
   /// use each to identify fresh candidate variables with q terms. This caps
-  /// how many such enrichments are tried per combination.
+  /// how many such enrichments are tried per combination. The probe is
+  /// skipped when one entry's unfolding alone cannot map into q.
   size_t max_enrichments_per_combination = 16;
 };
 
@@ -45,7 +46,7 @@ struct BucketResult {
   /// Cartesian-product combinations enumerated.
   uint64_t combinations_enumerated = 0;
   /// Combinations that produced a well-formed rewriting and reached the
-  /// containment check (the algorithm's dominant cost).
+  /// containment check.
   uint64_t candidates_checked = 0;
 };
 
@@ -54,7 +55,8 @@ struct BucketResult {
 /// (unifying the subgoal with a view subgoal, distinguished query variables
 /// landing on exposed view positions); then test every one-per-bucket
 /// combination with an expansion containment check, keeping those contained
-/// in q.
+/// in q. Each entry is unfolded once; comparison-free combinations are
+/// decided on those unfoldings, and only passing ones build a rewriting.
 ///
 /// The union of kept rewritings is the maximally-contained rewriting of q
 /// using `views` (comparison-free case). Comparisons on q are carried into

@@ -2,9 +2,11 @@
 /// Shared pipeline stages of the rewriting engines LMSS, Bucket, MiniCon,
 /// and the UCQ wrapper: canonical dedup of emitted rewritings, dedup of
 /// candidate view atoms, and the build → expand → containment-check
-/// verification of a candidate combination. Every containment call inside
-/// it threads ContainmentOptions, so wiring a ContainmentOracle into those
-/// options memoizes the whole pipeline at once.
+/// verification of a candidate combination. Bucket verifies this way only
+/// enrichments and combinations with comparisons; it decides the rest on
+/// per-entry unfoldings and builds a rewriting only for those that pass.
+/// Every containment call threads ContainmentOptions, so wiring a
+/// ContainmentOracle into those options memoizes the whole pipeline.
 
 #ifndef AQV_REWRITING_PIPELINE_H_
 #define AQV_REWRITING_PIPELINE_H_
@@ -80,7 +82,7 @@ struct ExpansionCheck {
   bool equivalent = false;
 };
 
-/// \brief The verification stage shared by every engine: BuildRewriting on
+/// \brief The verification stage of the engines: BuildRewriting on
 /// `picks`, ExpandRewriting over `views`, then the containment checks
 /// `level` asks for. Checks short-circuit: an unsatisfiable expansion or a
 /// failed ⊑ skips the rest.

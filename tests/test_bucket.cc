@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "containment/containment.h"
+#include "containment/homomorphism.h"
 #include "cq/parser.h"
+#include "cq/substitution.h"
 #include "rewriting/bucket.h"
+#include "rewriting/pipeline.h"
 #include "views/expansion.h"
+#include "workload/generator.h"
 
 namespace aqv {
 namespace {
@@ -24,6 +31,19 @@ class BucketTest : public ::testing::Test {
     auto r = BucketRewrite(q, vs, opts);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return std::move(r).value();
+  }
+
+  /// Runs `q` and pins its output text and counters.
+  void ExpectOutcome(const Query& q, const ViewSet& vs, BucketOptions opts,
+                     const std::string& rewritings, uint64_t candidates,
+                     uint64_t combinations, uint64_t checks) {
+    BucketResult res = Run(q, vs, opts);
+    uint64_t entries = 0;
+    for (const auto& bucket : res.buckets) entries += bucket.size();
+    EXPECT_EQ(res.rewritings.ToString(), rewritings);
+    EXPECT_EQ(entries, candidates);
+    EXPECT_EQ(res.combinations_enumerated, combinations);
+    EXPECT_EQ(res.candidates_checked, checks);
   }
 
   // Soundness: every emitted rewriting's expansion is contained in q.
@@ -195,6 +215,10 @@ TEST_F(BucketTest, EnrichmentRecoversJoinPredicateRewritings) {
     if (AreEquivalent(e.value().query, q).value()) found_equivalent = true;
   }
   EXPECT_TRUE(found_equivalent);
+  // The direct combination fails and is counted; its one enrichment
+  // passes and is counted too.
+  EXPECT_EQ(res.combinations_enumerated, 1u);
+  EXPECT_EQ(res.candidates_checked, 2u);
 }
 
 TEST_F(BucketTest, EnrichmentCapZeroDisablesIt) {
@@ -209,6 +233,43 @@ TEST_F(BucketTest, EnrichmentCapZeroDisablesIt) {
   EXPECT_TRUE(res.rewritings.empty());
 }
 
+TEST_F(BucketTest, ConstantClashIsUnbuildableAndUnchecked) {
+  // The two entries pin X to 1 and to 2: the combination never reaches a
+  // containment check, and neither entry's unfolding (r(1, 1), s(2, 2))
+  // maps into q, so no enrichment probe runs either.
+  Query q = Parse("q(X) :- r(X, 1), s(X, 2).");
+  ViewSet vs = Views("v(A) :- r(A, A).\nw(B) :- s(B, B).");
+  ExpectOutcome(q, vs, {}, "", /*candidates=*/2, /*combinations=*/1,
+                /*checks=*/0);
+}
+
+TEST_F(BucketTest, FailingCombinationSkipsProbeThatCannotMap) {
+  // v hides the join variable, so the combination fails its check; v's
+  // unfolding carries g, which q lacks, so the probe is skipped and
+  // nothing is enriched.
+  Query q = Parse("q(X, Z) :- e(X, Y), f(Y, Z).");
+  ViewSet vs = Views("v(A) :- e(A, B), g(B).\nw(B, C) :- f(B, C).");
+  ExpectOutcome(q, vs, {}, "", /*candidates=*/2, /*combinations=*/1,
+                /*checks=*/1);
+}
+
+TEST_F(BucketTest, ViewComparisonKeepsPerCombinationVerification) {
+  // v carries a comparison, so every combination is verified through
+  // BuildAndVerify. v(X, Y) with w is contained in q but not equivalent to
+  // it; u(X) with w fails, and its enrichment (u(X), w(Y, Z)) fails too.
+  Query q = Parse("q(X, Z) :- e(X, Y), f(Y, Z).");
+  ViewSet vs = Views(
+      "v(A, B) :- e(A, B), B < 5.\n"
+      "w(B, C) :- f(B, C).\n"
+      "u(A) :- e(A, B).");
+  ExpectOutcome(q, vs, {}, "q(X, Z) :- v(X, Y), w(Y, Z).\n",
+                /*candidates=*/3, /*combinations=*/2, /*checks=*/3);
+  BucketOptions strict;
+  strict.require_equivalent = true;
+  ExpectOutcome(q, vs, strict, "", /*candidates=*/3, /*combinations=*/2,
+                /*checks=*/4);
+}
+
 TEST_F(BucketTest, ComparisonQuerySoundness) {
   Query q = Parse("q(X) :- r(X, Y), X < 3.");
   ViewSet vs = Views("v(A, B) :- r(A, B).");
@@ -217,6 +278,194 @@ TEST_F(BucketTest, ComparisonQuerySoundness) {
   // The rewriting carries the comparison along.
   EXPECT_EQ(res.rewritings.disjuncts[0].comparisons().size(), 1u);
   CheckSound(q, vs, res.rewritings);
+}
+
+// --- reference combination loop ---------------------------------------
+//
+// BucketRewrite decides comparison-free combinations on per-entry
+// unfoldings. The reference below verifies every combination through
+// BuildAndVerify instead (build, expand, then the containment checks), and
+// runs the join-predicate enrichment probe whenever the direct check fails.
+// Given the same buckets, the two must emit the same rewritings in the same
+// order, and count the same combinations and checks.
+
+struct ReferenceOutcome {
+  std::string rewritings;
+  uint64_t combinations = 0;
+  uint64_t checked = 0;
+};
+
+/// The enrichment probe over q's variable space: q's variables keep their
+/// ids, each pick's fresh variables get a block of their own, and each
+/// pick's view body is unfolded with its existentials imported fresh.
+Query ReferenceProbe(const Query& q, const ViewSet& views,
+                     const std::vector<const ViewAtomCandidate*>& picks) {
+  Query probe(q.catalog());
+  for (int v = 0; v < q.num_vars(); ++v) probe.AddVariable(q.var_name(v));
+  probe.set_head(q.head());
+  int total_fresh = 0;
+  for (const ViewAtomCandidate* pick : picks) total_fresh += pick->num_fresh;
+  probe.AddVariables(total_fresh, "PF");
+  std::vector<Atom> remapped;
+  int fresh_base = q.num_vars();
+  for (const ViewAtomCandidate* pick : picks) {
+    Atom a = pick->atom;
+    for (Term& t : a.args) {
+      if (t.is_var() && t.var() >= q.num_vars()) {
+        t = Term::Var(fresh_base + (t.var() - q.num_vars()));
+      }
+    }
+    remapped.push_back(std::move(a));
+    fresh_base += pick->num_fresh;
+  }
+  for (size_t i = 0; i < picks.size(); ++i) {
+    const Atom& a = remapped[i];
+    const Query& def = views.FindByPred(a.pred)->definition;
+    VarImporter imp(def, &probe, "pe" + std::to_string(i) + "_");
+    for (int j = 0; j < a.arity(); ++j) {
+      Term h = def.head().args[j];
+      if (h.is_var() && !imp.HasMapping(h.var())) {
+        imp.Preset(h.var(), a.args[j]);
+      }
+    }
+    for (const Atom& b : def.body()) probe.AddBodyAtom(imp.ImportAtom(b));
+  }
+  return probe;
+}
+
+/// The picks with a probe homomorphism applied to their arguments.
+std::vector<ViewAtomCandidate> ReferenceEnrich(
+    const Query& q, const std::vector<const ViewAtomCandidate*>& picks,
+    const Substitution& g) {
+  std::vector<ViewAtomCandidate> out;
+  int fresh_base = q.num_vars();
+  for (const ViewAtomCandidate* pick : picks) {
+    ViewAtomCandidate e = *pick;
+    for (Term& t : e.atom.args) {
+      if (!t.is_var()) continue;
+      VarId v = t.var();
+      if (v >= q.num_vars()) v = fresh_base + (v - q.num_vars());
+      if (v < g.num_source_vars() && g.IsBound(v)) t = g.Get(v);
+    }
+    fresh_base += e.num_fresh;
+    e.num_fresh = 0;
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+Result<ReferenceOutcome> ReferenceLoop(
+    const Query& q, const ViewSet& views,
+    const std::vector<std::vector<ViewAtomCandidate>>& buckets,
+    const BucketOptions& options) {
+  ReferenceOutcome out;
+  for (const auto& bucket : buckets) {
+    if (bucket.empty()) return out;
+  }
+  const int n = static_cast<int>(buckets.size());
+  QueryDeduper seen;
+  UnionQuery rewritings;
+  auto try_candidate =
+      [&](const std::vector<const ViewAtomCandidate*>& picks) -> Result<bool> {
+    AQV_ASSIGN_OR_RETURN(
+        ExpansionCheck check,
+        BuildAndVerify(q, views, picks, q.has_comparisons(),
+                       options.require_equivalent ? VerifyLevel::kEquivalent
+                                                  : VerifyLevel::kContained,
+                       options.containment));
+    if (!check.rewriting.has_value()) return false;
+    ++out.checked;
+    if (!check.passed) return false;
+    if (seen.Insert(*check.rewriting)) {
+      rewritings.disjuncts.push_back(std::move(*check.rewriting));
+    }
+    return true;
+  };
+  std::vector<int> choice(n, 0);
+  for (;;) {
+    ++out.combinations;
+    std::vector<const ViewAtomCandidate*> picks;
+    for (int i = 0; i < n; ++i) picks.push_back(&buckets[i][choice[i]]);
+    AQV_ASSIGN_OR_RETURN(bool hit, try_candidate(picks));
+    if (!hit && options.max_enrichments_per_combination > 0) {
+      Query probe = ReferenceProbe(q, views, picks);
+      HomSearchOptions hopts;
+      hopts.node_budget = options.containment.node_budget;
+      std::vector<Substitution> enrichments;
+      auto cb = [&](const Substitution& g) {
+        enrichments.push_back(g);
+        return enrichments.size() < options.max_enrichments_per_combination;
+      };
+      AQV_ASSIGN_OR_RETURN(int64_t homs,
+                           ForEachHomomorphism(probe, q, hopts, cb));
+      (void)homs;
+      for (const Substitution& g : enrichments) {
+        std::vector<ViewAtomCandidate> enriched = ReferenceEnrich(q, picks, g);
+        std::vector<const ViewAtomCandidate*> eps;
+        for (const ViewAtomCandidate& e : enriched) eps.push_back(&e);
+        AQV_ASSIGN_OR_RETURN(bool enriched_hit, try_candidate(eps));
+        (void)enriched_hit;
+      }
+    }
+    int pos = n - 1;
+    while (pos >= 0) {
+      if (++choice[pos] < static_cast<int>(buckets[pos].size())) break;
+      choice[pos] = 0;
+      --pos;
+    }
+    if (pos < 0) break;
+  }
+  out.rewritings = rewritings.ToString();
+  return out;
+}
+
+/// Runs BucketRewrite, replays its buckets through the reference loop, and
+/// returns the rewriting count (0 on a mismatch, which is also reported).
+int ExpectMatchesReference(const Scenario& scenario, bool require_equivalent,
+                           const std::string& label) {
+  BucketOptions opts;
+  opts.require_equivalent = require_equivalent;
+  Result<BucketResult> real = BucketRewrite(scenario.query, scenario.views, opts);
+  EXPECT_TRUE(real.ok()) << label << ": " << real.status().ToString();
+  if (!real.ok()) return 0;
+  Result<ReferenceOutcome> ref =
+      ReferenceLoop(scenario.query, scenario.views, real->buckets, opts);
+  EXPECT_TRUE(ref.ok()) << label << ": " << ref.status().ToString();
+  if (!ref.ok()) return 0;
+  EXPECT_EQ(real->rewritings.ToString(), ref->rewritings) << label;
+  EXPECT_EQ(real->combinations_enumerated, ref->combinations) << label;
+  EXPECT_EQ(real->candidates_checked, ref->checked) << label;
+  return real->rewritings.size();
+}
+
+TEST_F(BucketTest, MatchesBuildAndVerifyReferenceOnGeneratedProblems) {
+  int rewritings = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    GeneratedScenarioSpec spec;
+    spec.seed = seed;
+    Result<Scenario> scenario = GenerateScenario(spec);
+    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+    for (bool require_equivalent : {false, true}) {
+      rewritings += ExpectMatchesReference(
+          *scenario, require_equivalent,
+          "default seed " + std::to_string(seed) +
+              (require_equivalent ? " equivalent" : " contained"));
+    }
+  }
+  // The rewrite_hard shape (4-atom queries), at half its view count.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    GeneratedScenarioSpec spec;
+    spec.seed = seed;
+    spec.query_atoms = 4;
+    spec.num_views = 40;
+    spec.facts_per_predicate = 5;
+    spec.guarantee_equivalent = seed % 2 == 0;
+    Result<Scenario> scenario = GenerateScenario(spec);
+    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+    rewritings += ExpectMatchesReference(*scenario, /*require_equivalent=*/false,
+                                         "hard seed " + std::to_string(seed));
+  }
+  EXPECT_GT(rewritings, 0);
 }
 
 }  // namespace
