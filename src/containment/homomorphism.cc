@@ -11,30 +11,40 @@ namespace {
 /// Backtracking engine shared by the find-one and for-each entry points.
 class HomSearch {
  public:
-  HomSearch(const Query& from, const Query& to, const HomSearchOptions& opts,
+  HomSearch(const AtomSpan& from, const AtomSpan& to,
+            const HomSearchOptions& opts,
             std::function<bool(const Substitution&)> cb)
       : from_(from),
         to_(to),
         opts_(opts),
         cb_(std::move(cb)),
-        subst_(from.num_vars()) {
-    // Index target atoms by predicate for candidate generation.
-    by_pred_.resize(to.catalog()->num_predicates());
-    for (int i = 0; i < static_cast<int>(to_.body().size()); ++i) {
-      PredId p = to_.body()[i].pred;
-      if (p >= 0 && p < static_cast<PredId>(by_pred_.size())) {
-        by_pred_[p].push_back(i);
+        subst_(from.num_vars),
+        first_target_(from.body_size + 1),
+        mapped_(from.body_size, false) {
+    // Candidate targets of each from-atom: the to-atoms with its
+    // predicate, in target order. Sized by the two bodies, not the catalog.
+    int total = 0;
+    for (int i = 0; i < from_.body_size; ++i) {
+      for (int j = 0; j < to_.body_size; ++j) {
+        total += to_.body[j].pred == from_.body[i].pred;
       }
     }
-    mapped_.assign(from_.body().size(), false);
+    targets_.reserve(total);
+    for (int i = 0; i < from_.body_size; ++i) {
+      first_target_[i] = static_cast<int>(targets_.size());
+      for (int j = 0; j < to_.body_size; ++j) {
+        if (to_.body[j].pred == from_.body[i].pred) targets_.push_back(j);
+      }
+    }
+    first_target_[from_.body_size] = static_cast<int>(targets_.size());
   }
 
   /// Runs the search. Returns the visit count, or an error on budget
   /// exhaustion. Sets stopped_early if the callback returned false.
   Result<int64_t> Run() {
     if (opts_.map_head) {
-      const Atom& hf = from_.head();
-      const Atom& ht = to_.head();
+      const Atom& hf = *from_.head;
+      const Atom& ht = *to_.head;
       if (hf.arity() != ht.arity()) return int64_t{0};
       for (int i = 0; i < hf.arity(); ++i) {
         if (!UnifyArg(hf.args[i], ht.args[i])) return int64_t{0};
@@ -72,14 +82,12 @@ class HomSearch {
   int PickAtom(int* num_candidates) const {
     int best = -1;
     int best_count = INT32_MAX;
-    for (int i = 0; i < static_cast<int>(from_.body().size()); ++i) {
+    for (int i = 0; i < from_.body_size; ++i) {
       if (mapped_[i]) continue;
-      const Atom& a = from_.body()[i];
+      const Atom& a = from_.body[i];
       int count = 0;
-      if (a.pred >= 0 && a.pred < static_cast<PredId>(by_pred_.size())) {
-        for (int j : by_pred_[a.pred]) {
-          if (Compatible(a, to_.body()[j])) ++count;
-        }
+      for (int k = first_target_[i]; k < first_target_[i + 1]; ++k) {
+        if (Compatible(a, to_.body[targets_[k]])) ++count;
       }
       if (count < best_count) {
         best_count = count;
@@ -98,7 +106,7 @@ class HomSearch {
           "homomorphism search exceeded node budget of " +
           std::to_string(opts_.node_budget));
     }
-    if (depth == static_cast<int>(from_.body().size())) {
+    if (depth == from_.body_size) {
       ++found_;
       if (!cb_(subst_)) stopped_early_ = true;
       return Status::OK();
@@ -106,10 +114,10 @@ class HomSearch {
     int candidates = 0;
     int pick = PickAtom(&candidates);
     if (pick < 0 || candidates == 0) return Status::OK();
-    const Atom& a = from_.body()[pick];
+    const Atom& a = from_.body[pick];
     mapped_[pick] = true;
-    for (int j : by_pred_[a.pred]) {
-      const Atom& b = to_.body()[j];
+    for (int k = first_target_[pick]; k < first_target_[pick + 1]; ++k) {
+      const Atom& b = to_.body[targets_[k]];
       size_t cp = subst_.Checkpoint();
       bool ok = true;
       for (int i = 0; i < a.arity() && ok; ++i) {
@@ -129,15 +137,18 @@ class HomSearch {
     return Status::OK();
   }
 
-  const Query& from_;
-  const Query& to_;
+  const AtomSpan from_;
+  const AtomSpan to_;
   const HomSearchOptions& opts_;
   // By value: callers routinely pass lambdas, which would otherwise bind a
   // reference to a std::function temporary that dies with the constructor
   // call (a Release-build stack-use-after-scope, caught by ASan).
   std::function<bool(const Substitution&)> cb_;
   Substitution subst_;
-  std::vector<std::vector<int>> by_pred_;
+  // targets_[first_target_[i] .. first_target_[i + 1]) are from-atom i's
+  // candidate to-atoms.
+  std::vector<int> targets_;
+  std::vector<int> first_target_;
   std::vector<bool> mapped_;
   uint64_t nodes_ = 0;
   int64_t found_ = 0;
@@ -146,7 +157,7 @@ class HomSearch {
 
 }  // namespace
 
-Result<bool> FindHomomorphism(const Query& from, const Query& to,
+Result<bool> FindHomomorphism(const AtomSpan& from, const AtomSpan& to,
                               const HomSearchOptions& options,
                               Substitution* out) {
   bool found = false;
@@ -161,10 +172,16 @@ Result<bool> FindHomomorphism(const Query& from, const Query& to,
   return found;
 }
 
+Result<bool> FindHomomorphism(const Query& from, const Query& to,
+                              const HomSearchOptions& options,
+                              Substitution* out) {
+  return FindHomomorphism(AtomSpan::Of(from), AtomSpan::Of(to), options, out);
+}
+
 Result<int64_t> ForEachHomomorphism(
     const Query& from, const Query& to, const HomSearchOptions& options,
     const std::function<bool(const Substitution&)>& cb) {
-  HomSearch search(from, to, options, cb);
+  HomSearch search(AtomSpan::Of(from), AtomSpan::Of(to), options, cb);
   return search.Run();
 }
 

@@ -18,9 +18,10 @@
 /// the catalogs that produced them, and structurally-identical queries
 /// parsed into different catalogs hit each other's entries. Wire an
 /// oracle into a pipeline by setting ContainmentOptions::oracle (or
-/// EngineOptions::oracle); every call site that threads those options
-/// (minimization, candidate verification, subsumption pruning, the engine
-/// searches) then shares one cache.
+/// EngineOptions::oracle); every IsContainedIn call that threads those
+/// options (minimization, candidate verification, subsumption pruning)
+/// then shares one cache. Bucket's comparison-free combination checks
+/// search atom spans directly (homomorphism.h) and never reach it.
 ///
 /// Thread safety: the oracle is internally sharded — both the form cache
 /// and the decision cache are sliced by fingerprint across `num_shards`

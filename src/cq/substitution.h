@@ -18,8 +18,11 @@ namespace aqv {
 /// trail-based Checkpoint/Rollback pair supports cheap backtracking.
 class Substitution {
  public:
-  explicit Substitution(int num_source_vars)
-      : bindings_(num_source_vars) {}
+  /// Reserves the trail up front: a search binds each variable at most
+  /// once between rollbacks, so the trail never outgrows the variables.
+  explicit Substitution(int num_source_vars) : bindings_(num_source_vars) {
+    trail_.reserve(num_source_vars);
+  }
 
   int num_source_vars() const { return static_cast<int>(bindings_.size()); }
 

@@ -133,13 +133,16 @@ enum class Verdict { kUnbuildable, kFailed, kPassed };
 /// Decides comparison-free combinations as BuildAndVerify would, without
 /// building, naming, normalizing or expanding a rewriting. The picks'
 /// induced equalities are unioned over q's variables, and the expansion is
-/// assembled from the unfoldings under those classes with its variables
-/// numbered by first appearance, as ExpandRewriting numbers them: the
-/// containment checks (and an attached oracle) see the same query.
+/// written into reused atom buffers from the unfoldings under those
+/// classes, its variables numbered by first appearance as ExpandRewriting
+/// numbers them. The containment mappings are searched on those spans
+/// directly, so an attached ContainmentOracle does not see these checks.
 class UnfoldedCheck {
  public:
   UnfoldedCheck(const Query& q, const BucketOptions& options)
-      : q_(q), options_(options) {}
+      : q_(q), options_(options) {
+    hopts_.node_budget = options.containment.node_budget;
+  }
 
   Result<Verdict> Decide(const std::vector<const ViewAtomCandidate*>& picks,
                          const std::vector<const Unfolding*>& unfoldings) {
@@ -155,35 +158,53 @@ class UnfoldedCheck {
     int slots = nq;
     for (const Unfolding* u : unfoldings) slots += u->num_local;
     ids_.assign(slots, -1);
-    Query expansion(q_.catalog());
-    auto map_term = [&](Term t, int offset) -> Term {
-      if (t.is_const()) return t;
-      int slot = t.var() < nq ? Find(t.var()) : t.var() + offset;
-      if (slot < nq && pinned_[slot].has_value()) return *pinned_[slot];
-      if (ids_[slot] < 0) ids_[slot] = expansion.AddVariable("E");
-      return Term::Var(ids_[slot]);
+    int num_vars = 0;
+    // Assigns in place, so each buffer atom keeps its args' capacity.
+    auto write = [&](const Atom& from, int offset, Atom* to) {
+      to->pred = from.pred;
+      to->args.assign(from.args.begin(), from.args.end());
+      for (Term& t : to->args) {
+        if (t.is_const()) continue;
+        int slot = t.var() < nq ? Find(t.var()) : t.var() + offset;
+        if (slot < nq && pinned_[slot].has_value()) {
+          t = *pinned_[slot];
+          continue;
+        }
+        if (ids_[slot] < 0) ids_[slot] = num_vars++;
+        t = Term::Var(ids_[slot]);
+      }
     };
-    Atom head = q_.head();
-    for (Term& t : head.args) t = map_term(t, 0);
-    expansion.set_head(std::move(head));
+    write(q_.head(), 0, &head_);
+    int body_size = 0;
     int offset = 0;
     for (const Unfolding* u : unfoldings) {
       for (const Atom& a : u->atoms) {
-        Atom b = a;
-        for (Term& t : b.args) t = map_term(t, offset);
-        expansion.AddBodyAtom(std::move(b));
+        if (body_size == static_cast<int>(body_.size())) body_.emplace_back();
+        write(a, offset, &body_[body_size++]);
       }
       offset += u->num_local;
     }
     // q's variables reach an unfolding only through its entry's atom (view
-    // heads are safe), so this is BuildRewriting's unsafe-head test.
-    if (!expansion.Validate().ok()) return Verdict::kUnbuildable;
+    // heads are safe), so this is BuildRewriting's unsafe-head test, the
+    // one check of Query::Validate the assembly does not ensure.
+    in_body_.assign(num_vars, false);
+    for (int i = 0; i < body_size; ++i) {
+      for (Term t : body_[i].args) {
+        if (t.is_var()) in_body_[t.var()] = true;
+      }
+    }
+    for (Term t : head_.args) {
+      if (t.is_var() && !in_body_[t.var()]) return Verdict::kUnbuildable;
+    }
 
+    // IsContainedIn's comparison-free decision, both ways as needed.
+    const AtomSpan query = AtomSpan::Of(q_);
+    const AtomSpan expansion{&head_, body_.data(), body_size, num_vars};
     AQV_ASSIGN_OR_RETURN(bool contained,
-                         IsContainedIn(expansion, q_, options_.containment));
+                         FindHomomorphism(query, expansion, hopts_));
     if (contained && options_.require_equivalent) {
       AQV_ASSIGN_OR_RETURN(contained,
-                           IsContainedIn(q_, expansion, options_.containment));
+                           FindHomomorphism(expansion, query, hopts_));
     }
     return contained ? Verdict::kPassed : Verdict::kFailed;
   }
@@ -211,9 +232,14 @@ class UnfoldedCheck {
 
   const Query& q_;
   const BucketOptions& options_;
+  HomSearchOptions hopts_;
   std::vector<int> parent_;  // union-find over q's variables
   std::vector<std::optional<Term>> pinned_;
   std::vector<int> ids_;  // candidate-space slot -> expansion variable
+  // The expansion: head_ and the first body_size atoms of body_.
+  Atom head_;
+  std::vector<Atom> body_;
+  std::vector<bool> in_body_;  // expansion variable -> occurs in the body
 };
 
 }  // namespace

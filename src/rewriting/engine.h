@@ -5,8 +5,9 @@
 /// tools can drive any of them by name and compare them on identical
 /// workloads. A request optionally carries a ContainmentOracle; the engine
 /// threads it through ContainmentOptions so minimization, candidate
-/// verification and subsumption pruning all share one
-/// memoized containment core, and the response surfaces the oracle's
+/// verification and subsumption pruning share one memoized containment
+/// core (Bucket's comparison-free combination checks search atom spans
+/// directly and bypass it), and the response surfaces the oracle's
 /// hit/miss/budget delta alongside the engine's own search counters.
 
 #ifndef AQV_REWRITING_ENGINE_H_

@@ -5,8 +5,9 @@
 /// verification of a candidate combination. Bucket verifies this way only
 /// enrichments and combinations with comparisons; it decides the rest on
 /// per-entry unfoldings and builds a rewriting only for those that pass.
-/// Every containment call threads ContainmentOptions, so wiring a
-/// ContainmentOracle into those options memoizes the whole pipeline.
+/// Every containment call here threads ContainmentOptions, so wiring a
+/// ContainmentOracle into those options memoizes these stages; Bucket's
+/// decisions on unfoldings search atom spans directly and bypass it.
 
 #ifndef AQV_REWRITING_PIPELINE_H_
 #define AQV_REWRITING_PIPELINE_H_

@@ -27,7 +27,7 @@ Result<std::vector<PredId>> ChainPreds(Catalog* catalog,
 
 /// Chooses the head variables of a generated view according to `policy`,
 /// always keeping at least one variable (safety of the head is then
-/// guaranteed because every chain/star/clique variable occurs in the body).
+/// guaranteed because every chain/star variable occurs in the body).
 std::vector<VarId> PickDistinguished(Rng* rng, DistinguishedPolicy policy,
                                      double keep_prob,
                                      const std::vector<VarId>& ends,
@@ -177,83 +177,6 @@ Result<ViewSet> MakeStarViews(Catalog* catalog, Rng* rng,
         PickDistinguished(rng, spec.policy, spec.random_keep_prob,
                           {leaves.empty() ? center : leaves.front(), center},
                           all);
-    AQV_ASSIGN_OR_RETURN(
-        Query view,
-        FinishView(catalog, &body,
-                   spec.view_prefix + std::to_string(vi), head_vars));
-    AQV_RETURN_NOT_OK(out.Add(std::move(view)));
-  }
-  return out;
-}
-
-Result<Query> MakeCompleteQuery(Catalog* catalog,
-                                const CompleteQuerySpec& spec) {
-  if (spec.nodes < 2) return Status::InvalidArgument("clique needs >= 2 nodes");
-  Query q(catalog);
-  std::vector<VarId> vars;
-  std::vector<Term> head_args;
-  for (int i = 0; i < spec.nodes; ++i) {
-    VarId v = q.AddVariable("X" + std::to_string(i + 1));
-    vars.push_back(v);
-    head_args.push_back(Term::Var(v));
-  }
-  for (int i = 0; i < spec.nodes; ++i) {
-    for (int j = i + 1; j < spec.nodes; ++j) {
-      std::string pname =
-          spec.distinct_predicates
-              ? spec.pred_prefix + std::to_string(i + 1) + "_" +
-                    std::to_string(j + 1)
-              : spec.pred_prefix;
-      AQV_ASSIGN_OR_RETURN(PredId p, catalog->GetOrAddPredicate(pname, 2));
-      q.AddBodyAtom(Atom(p, {Term::Var(vars[i]), Term::Var(vars[j])}));
-    }
-  }
-  AQV_ASSIGN_OR_RETURN(
-      PredId head,
-      catalog->GetOrAddPredicate(spec.head_name, spec.nodes,
-                                 PredKind::kIntensional));
-  q.set_head(Atom(head, std::move(head_args)));
-  AQV_RETURN_NOT_OK(q.Validate());
-  return q;
-}
-
-Result<ViewSet> MakeCompleteViews(Catalog* catalog, Rng* rng,
-                                  const CompleteViewSpec& spec) {
-  // Enumerate the clique's edges, then sample subsets.
-  std::vector<std::pair<int, int>> edges;
-  for (int i = 0; i < spec.complete.nodes; ++i) {
-    for (int j = i + 1; j < spec.complete.nodes; ++j) edges.push_back({i, j});
-  }
-  ViewSet out;
-  for (int vi = 0; vi < spec.num_views; ++vi) {
-    int max_edges = std::min<int>(spec.max_edges, edges.size());
-    int k = static_cast<int>(
-        rng->NextInRange(std::min(spec.min_edges, max_edges), max_edges));
-    std::vector<std::pair<int, int>> pool = edges;
-    rng->Shuffle(&pool);
-    pool.resize(k);
-
-    Query body(catalog);
-    std::vector<VarId> node_var(spec.complete.nodes, -1);
-    std::vector<VarId> used;
-    auto var_of = [&](int node) {
-      if (node_var[node] < 0) {
-        node_var[node] = body.AddVariable("Y" + std::to_string(node + 1));
-        used.push_back(node_var[node]);
-      }
-      return node_var[node];
-    };
-    for (auto [i, j] : pool) {
-      std::string pname =
-          spec.complete.distinct_predicates
-              ? spec.complete.pred_prefix + std::to_string(i + 1) + "_" +
-                    std::to_string(j + 1)
-              : spec.complete.pred_prefix;
-      AQV_ASSIGN_OR_RETURN(PredId p, catalog->GetOrAddPredicate(pname, 2));
-      body.AddBodyAtom(Atom(p, {Term::Var(var_of(i)), Term::Var(var_of(j))}));
-    }
-    std::vector<VarId> head_vars = PickDistinguished(
-        rng, spec.policy, spec.random_keep_prob, {used.front()}, used);
     AQV_ASSIGN_OR_RETURN(
         Query view,
         FinishView(catalog, &body,

@@ -1,7 +1,7 @@
 /// \file
 /// Umbrella header of the `workload` module: parameterized generators for
 /// the query/view families the T-series benches and the property tests
-/// draw from — chain, star and clique queries with their views, and random
+/// draw from — chain and star queries with their views, and random
 /// CQs with configurable DistinguishedPolicy head exposure. datagen.h adds random
 /// database instances and scenarios.h packages full LAV problems (schema +
 /// query + views + hidden base data). Invariants: every generator is a pure
@@ -89,35 +89,6 @@ struct StarViewSpec {
 
 [[nodiscard]] Result<ViewSet> MakeStarViews(Catalog* catalog, Rng* rng,
                               const StarViewSpec& spec);
-
-// ---------------------------------------------------------------------------
-// Complete (clique) workloads.
-// ---------------------------------------------------------------------------
-
-/// q(X1..Xn) :- r_ij(Xi,Xj) for all i<j: every pair of variables joined.
-struct CompleteQuerySpec {
-  int nodes = 4;
-  bool distinct_predicates = true;
-  std::string pred_prefix = "e";
-  std::string head_name = "q";
-};
-
-[[nodiscard]] Result<Query> MakeCompleteQuery(Catalog* catalog,
-                                const CompleteQuerySpec& spec);
-
-/// Views over random subsets of the clique's edges.
-struct CompleteViewSpec {
-  CompleteQuerySpec complete;
-  int num_views = 10;
-  int min_edges = 1;
-  int max_edges = 3;
-  DistinguishedPolicy policy = DistinguishedPolicy::kAll;
-  double random_keep_prob = 0.5;
-  std::string view_prefix = "v";
-};
-
-[[nodiscard]] Result<ViewSet> MakeCompleteViews(Catalog* catalog, Rng* rng,
-                                  const CompleteViewSpec& spec);
 
 // ---------------------------------------------------------------------------
 // Random CQs (containment property sweeps).

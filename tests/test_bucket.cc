@@ -270,6 +270,76 @@ TEST_F(BucketTest, ViewComparisonKeepsPerCombinationVerification) {
                 /*checks=*/4);
 }
 
+TEST_F(BucketTest, NodeBudgetBindsTheDirectChecksAsBefore) {
+  // Default-spec problems under tiny containment budgets, both modes. Each
+  // outcome (the status, or the rewriting count and counters) is what
+  // BucketRewrite returned when these checks still ran through
+  // IsContainedIn on a built expansion Query, so the span search must
+  // spend the budget exactly as that path did. At budget 5, seeds 16 and
+  // 30 complete when only contained rewritings are asked for and exhaust
+  // on the reverse check under require_equivalent.
+  struct Case {
+    uint64_t seed;
+    uint64_t budget;
+    bool require_equivalent;
+    int rewritings;  // -1: kResourceExhausted
+    uint64_t combinations;
+    uint64_t checks;
+  };
+  const std::vector<Case> cases = {
+      {1, 5, false, 25, 350, 352},   {1, 5, true, 4, 350, 352},
+      {1, 8, false, 25, 350, 352},   {1, 8, true, 4, 350, 352},
+      {1, 20, false, 25, 350, 352},  {1, 20, true, 4, 350, 352},
+      {7, 5, false, -1, 0, 0},       {7, 5, true, -1, 0, 0},
+      {7, 8, false, 50, 234, 262},   {7, 8, true, 12, 234, 262},
+      {7, 20, false, 50, 234, 262},  {7, 20, true, 12, 234, 262},
+      {16, 5, false, 72, 147, 147},  {16, 5, true, -1, 0, 0},
+      {16, 8, false, 72, 147, 147},  {16, 8, true, 2, 147, 147},
+      {16, 20, false, 72, 147, 147}, {16, 20, true, 2, 147, 147},
+      {30, 5, false, 21, 80, 84},    {30, 5, true, -1, 0, 0},
+      {30, 8, false, 21, 80, 84},    {30, 8, true, 9, 80, 84},
+      {30, 20, false, 21, 80, 84},   {30, 20, true, 9, 80, 84},
+  };
+  auto run = [](uint64_t seed, uint64_t budget, bool require_equivalent) {
+    GeneratedScenarioSpec spec;
+    spec.seed = seed;
+    Scenario scenario = GenerateScenario(spec).value();
+    BucketOptions opts;
+    opts.require_equivalent = require_equivalent;
+    opts.containment.node_budget = budget;
+    return BucketRewrite(scenario.query, scenario.views, opts);
+  };
+  for (uint64_t seed : {1, 7, 16, 30}) {
+    for (uint64_t budget : {1, 3}) {
+      for (bool require_equivalent : {false, true}) {
+        Result<BucketResult> r = run(seed, budget, require_equivalent);
+        ASSERT_FALSE(r.ok()) << seed << " " << budget;
+        EXPECT_EQ(r.status().ToString(),
+                  "ResourceExhausted: homomorphism search exceeded node "
+                  "budget of " + std::to_string(budget));
+      }
+    }
+  }
+  for (const Case& c : cases) {
+    std::string label = "seed " + std::to_string(c.seed) + " budget " +
+                        std::to_string(c.budget) +
+                        (c.require_equivalent ? " equivalent" : " contained");
+    Result<BucketResult> r = run(c.seed, c.budget, c.require_equivalent);
+    if (c.rewritings < 0) {
+      ASSERT_FALSE(r.ok()) << label;
+      EXPECT_EQ(r.status().ToString(),
+                "ResourceExhausted: homomorphism search exceeded node "
+                "budget of " + std::to_string(c.budget))
+          << label;
+      continue;
+    }
+    ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+    EXPECT_EQ(r->rewritings.size(), c.rewritings) << label;
+    EXPECT_EQ(r->combinations_enumerated, c.combinations) << label;
+    EXPECT_EQ(r->candidates_checked, c.checks) << label;
+  }
+}
+
 TEST_F(BucketTest, ComparisonQuerySoundness) {
   Query q = Parse("q(X) :- r(X, Y), X < 3.");
   ViewSet vs = Views("v(A, B) :- r(A, B).");

@@ -82,7 +82,7 @@ TEST_F(EngineTest, CqEnginesRejectUnionRequests) {
   ViewSet vs = Views("v(A, B) :- r(A, B).");
   RewriteRequest request = Request(a, vs);
   request.query.disjuncts.push_back(b);
-  for (const std::string& name : {"lmss", "bucket", "minicon"}) {
+  for (const char* name : {"lmss", "bucket", "minicon"}) {
     auto r = RunEngine(name, request);
     ASSERT_FALSE(r.ok()) << name;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << name;
@@ -259,7 +259,7 @@ TEST_F(EngineTest, Over64SubgoalQueriesReturnUnimplemented) {
   }
   Query q = Parse("huge(X0) :- " + body + ".");
   ViewSet vs = Views("vh(A, B) :- g0(A, B).");
-  for (const std::string& name : {"lmss", "bucket", "minicon", "ucq"}) {
+  for (const char* name : {"lmss", "bucket", "minicon", "ucq"}) {
     auto r = RunEngine(name, Request(q, vs));
     ASSERT_FALSE(r.ok()) << name;
     EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented) << name;

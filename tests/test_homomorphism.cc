@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "containment/homomorphism.h"
 #include "cq/parser.h"
 
@@ -15,6 +18,35 @@ class HomTest : public ::testing::Test {
     auto r = FindHomomorphism(from, to);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() && r.value();
+  }
+
+  /// Every mapping ForEachHomomorphism visits, in order, as "X->A Y->B".
+  /// `to` must be constant-free, so every variable maps to a variable.
+  std::vector<std::string> Mappings(const Query& from, const Query& to,
+                                    int64_t* visits) {
+    std::vector<std::string> out;
+    auto r = ForEachHomomorphism(from, to, {}, [&](const Substitution& s) {
+      std::string line;
+      for (int v = 0; v < from.num_vars(); ++v) {
+        if (v > 0) line += " ";
+        line += from.var_name(v) + "->" + to.var_name(s.Get(v).var());
+      }
+      out.push_back(line);
+      return true;
+    });
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    *visits = r.ok() ? *r : -1;
+    return out;
+  }
+
+  /// Runs the full enumeration under `budget`.
+  Status EnumerateWithin(const Query& from, const Query& to,
+                         uint64_t budget) {
+    HomSearchOptions opts;
+    opts.node_budget = budget;
+    return ForEachHomomorphism(from, to, opts,
+                               [](const Substitution&) { return true; })
+        .status();
   }
 };
 
@@ -156,6 +188,75 @@ TEST_F(HomTest, NoTargetAtomsOfPredicate) {
   Query from = Parse("q() :- r(X), t(X).");
   Query to = Parse("q() :- r(A).");
   EXPECT_FALSE(Hom(from, to));
+}
+
+// The three tests below pin the search's candidate order and node
+// accounting: each value was read from the search as it indexed target
+// atoms by catalog predicate, so an index that reorders candidates or
+// counts nodes differently fails them.
+
+TEST_F(HomTest, SelfJoinEnumerationOrderOverInterleavedTarget) {
+  Query from = Parse("q() :- e(X, Y), e(Y, Z), e(Z, W).");
+  Query to = Parse(
+      "q() :- e(A, B), f(A, B), e(B, C), f(B, C), e(C, A), f(C, A), "
+      "e(B, B).");
+  int64_t visits = 0;
+  std::vector<std::string> expected = {
+      "X->A Y->B Z->C W->A", "X->A Y->B Z->B W->C", "X->A Y->B Z->B W->B",
+      "X->B Y->C Z->A W->B", "X->C Y->A Z->B W->C", "X->C Y->A Z->B W->B",
+      "X->B Y->B Z->C W->A", "X->B Y->B Z->B W->C", "X->B Y->B Z->B W->B"};
+  EXPECT_EQ(Mappings(from, to, &visits), expected);
+  EXPECT_EQ(visits, 9);
+}
+
+TEST_F(HomTest, SmallestCompletingNodeBudget) {
+  Query from = Parse("q() :- e(X, Y), e(Y, Z), e(Z, W).");
+  Query to = Parse(
+      "q() :- e(A, B), f(A, B), e(B, C), f(B, C), e(C, A), f(C, A), "
+      "e(B, B).");
+  EXPECT_TRUE(EnumerateWithin(from, to, 20).ok());
+  Status short_by_one = EnumerateWithin(from, to, 19);
+  EXPECT_EQ(short_by_one.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(short_by_one.message(),
+            "homomorphism search exceeded node budget of 19");
+  // The first mapping is reached at the fourth node.
+  HomSearchOptions opts;
+  opts.node_budget = 4;
+  EXPECT_TRUE(FindHomomorphism(from, to, opts).ok());
+  opts.node_budget = 3;
+  EXPECT_EQ(FindHomomorphism(from, to, opts).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST_F(HomTest, MissingTargetPredicateFailsAtTheRoot) {
+  // No target atom has t, so the fail-first choice picks t(Z) at the root
+  // and the search ends there: one node, no mapping.
+  Query from = Parse("q() :- r(X, Y), r(Y, Z), t(Z).");
+  Query to = Parse("q() :- r(A, B), s(B, C), r(B, C).");
+  int64_t visits = -1;
+  EXPECT_TRUE(Mappings(from, to, &visits).empty());
+  EXPECT_EQ(visits, 0);
+  EXPECT_TRUE(EnumerateWithin(from, to, 1).ok());
+  EXPECT_FALSE(Hom(from, to));
+}
+
+TEST_F(HomTest, SpanSearchReadsOnlyItsPrefixOfTheBuffer) {
+  // A span covers the first body_size atoms of a buffer; the atoms past it
+  // are not part of the query.
+  Query from = Parse("q(X) :- e(X, Y), f(Y, X).");
+  Query to = Parse("q(A) :- e(A, B), g(B), f(B, A).");
+  const AtomSpan from_span = AtomSpan::Of(from);
+  const AtomSpan whole = AtomSpan::Of(to);
+  const AtomSpan prefix{&to.head(), to.body().data(), 2, to.num_vars()};
+  Substitution sub(0);
+  auto r = FindHomomorphism(from_span, whole, {}, &sub);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.value());
+  EXPECT_EQ(sub.Get(1), Term::Var(1));  // Y -> B
+  EXPECT_EQ(r.value(), Hom(from, to));
+  r = FindHomomorphism(from_span, prefix);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r.value());  // f(B, A) lies past the prefix
 }
 
 }  // namespace

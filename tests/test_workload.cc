@@ -99,29 +99,6 @@ TEST(Generators, StarViews) {
   }
 }
 
-TEST(Generators, CompleteQueryShape) {
-  Catalog cat;
-  CompleteQuerySpec spec;
-  spec.nodes = 4;
-  Query q = MakeCompleteQuery(&cat, spec).value();
-  EXPECT_EQ(q.body().size(), 6u);  // C(4,2)
-  EXPECT_EQ(q.num_vars(), 4);
-  EXPECT_EQ(q.head().arity(), 4);
-}
-
-TEST(Generators, CompleteViews) {
-  Catalog cat;
-  CompleteViewSpec spec;
-  spec.complete.nodes = 4;
-  spec.num_views = 10;
-  Rng rng(8);
-  ViewSet vs = MakeCompleteViews(&cat, &rng, spec).value();
-  EXPECT_EQ(vs.size(), 10);
-  for (const View& v : vs.views()) {
-    EXPECT_TRUE(v.definition.Validate().ok());
-  }
-}
-
 TEST(Generators, RandomQueriesAreValid) {
   Catalog cat;
   Rng rng(9);
