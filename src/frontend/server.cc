@@ -38,7 +38,8 @@ int MsUntil(Clock::time_point deadline, Clock::time_point now) {
 /// Per-connection state, owned and touched exclusively by the event-loop
 /// thread. The session is the one exception: the in-flight task reads and
 /// writes it on a pool worker — but at most one task per connection is
-/// ever in flight (`executing`), and the hand-offs in both directions go
+/// ever in flight (`executing`), the loop touches it (a memo-answered
+/// rewrite) only while none is, and the hand-offs in both directions go
 /// through locked queues, so the session is still accessed by one thread
 /// at a time with proper happens-before edges.
 struct FrontendServer::Conn {
@@ -438,6 +439,14 @@ void FrontendServer::Pump(Conn& conn) {
     if (!gated.empty()) {
       QueueWrite(conn, std::move(gated));
       if (conn.closing) return;  // gated quit
+      continue;
+    }
+    // A rewrite the session's memo answers runs here: nothing of this
+    // connection is in flight, and the answer costs a parse and a copy,
+    // so a long command on the pool does not delay it. Every other line,
+    // and every rewrite the memo cannot answer, goes to the pool.
+    if (conn.session->AnswersFromMemo(line)) {
+      QueueWrite(conn, RenderWireResponse(conn.session->Execute(line)));
       continue;
     }
     // One task per run: a definition or no-op takes along every

@@ -11,13 +11,18 @@
 /// through, executed in order with every response sent in one write —
 /// so a pipelined problem load pays one pool round trip, not one per
 /// line. Every other line is a task of its own, and the service counts
-/// every line of a run as one command. All connections share one
-/// server-lifetime cache, the RewritePlanCache (service/plan_cache.h).
-/// Its keys embed the complete rendered problem statement, so a query
-/// repeated on any connection against the same schema is a cache hit, and
-/// responses stay byte-identical to an uncached run. Nothing else
-/// outlives a command: every containment check a command makes runs the
-/// homomorphism or linearization test directly, with no oracle.
+/// every line of a run as one command. The one exception is a `rewrite`
+/// that the connection's session answers from its memo of the current
+/// problem (Session::AnswersFromMemo): the loop executes it itself, with
+/// no engine run, key or lock, and the service does not count it. All
+/// connections share one server-lifetime cache, the RewritePlanCache
+/// (service/plan_cache.h). Its keys embed the complete rendered problem
+/// statement, so a query repeated on any connection against the same
+/// schema is a cache hit, and responses stay byte-identical to an uncached
+/// run. Besides that cache, only a session's memo outlives a command, and
+/// only until the session's next command that can change the problem:
+/// every containment check a command makes runs the homomorphism or
+/// linearization test directly, with no oracle.
 ///
 /// Protocol (one command per '\n'-terminated line, as in aqvsh):
 ///
@@ -102,7 +107,8 @@ struct ServerOptions {
   /// always run to completion).
   int drain_timeout_ms = 2'000;
   /// The backing RewriteService (worker pool). Each run of definitions,
-  /// and each other command, executes inline as one task on it.
+  /// and each other command but a memo-answered rewrite, executes inline
+  /// as one task on it.
   ServiceOptions service;
   /// Template for per-connection sessions; `service` (the `show stats`
   /// source), `enable_load`, `engine.oracle` (cleared: the server decides
@@ -121,8 +127,10 @@ struct ServerOptions {
 /// socket and all connection state; command execution happens on the
 /// service's workers (at most one in-flight task per connection, so each
 /// Session is touched by one thread at a time); completions return to the
-/// loop through an eventfd. Start/Stop may be called from any thread, once
-/// each (Stop is also run by the destructor).
+/// loop through an eventfd. A rewrite the session's memo answers runs on
+/// the loop thread instead, and only while the connection has no task in
+/// flight. Start/Stop may be called from any thread, once each (Stop is
+/// also run by the destructor).
 class FrontendServer {
  public:
   explicit FrontendServer(ServerOptions options = {});
@@ -166,10 +174,11 @@ class FrontendServer {
   /// Splits `conn`'s read carry into lines (enforcing the line cap) and
   /// queues them for execution.
   void ParseLines(Conn& conn);
-  /// Starts the next task if none is in flight. Auth and gate refusals
-  /// are answered inline. A definition or no-op goes to the pool with the
-  /// run of definitions and no-ops queued behind it that the gate lets
-  /// through; any other line goes alone.
+  /// Starts the next task if none is in flight. Auth and gate refusals,
+  /// and rewrites the session's memo answers, are answered inline. A
+  /// definition or no-op goes to the pool with the run of definitions and
+  /// no-ops queued behind it that the gate lets through; any other line
+  /// goes alone.
   void Pump(Conn& conn);
   /// Applies completions delivered through the eventfd.
   void DrainCompletions();

@@ -17,6 +17,9 @@ namespace {
 
 /// The engine `rewrite` and `answer` run without `with <engine>`.
 constexpr char kDefaultEngine[] = "minicon";
+/// What a malformed `rewrite` answers (Execute and AnswersFromMemo parse
+/// alike).
+constexpr char kRewriteUsage[] = "usage: rewrite [with <engine>]";
 /// The route `answer` takes without `route <route>`.
 constexpr AnswerRoute kDefaultRoute = AnswerRoute::kCompleteRewriting;
 /// Nested `load` depth cap (a script loading itself must terminate).
@@ -260,6 +263,9 @@ CommandResult Session::Execute(std::string_view line) {
     return Status::InvalidArgument("unknown command '" +
                                    std::string(parsed.word) + "' (try 'help')");
   }
+  // The memo's one invalidation point: the rows that can change the
+  // problem (a replayed journal passes here too).
+  if (parsed.command->refused_read_only) rewrite_memo_.clear();
   CommandResult result =
       (this->*parsed.command->handler)(std::string(parsed.rest));
   // Autosave-on-mutation. A journal failure turns the result into an
@@ -281,6 +287,28 @@ std::vector<CommandResult> Session::ExecuteScript(std::string_view text) {
     text.remove_prefix(nl + 1);
   }
   return results;
+}
+
+bool Session::AnswersFromMemo(std::string_view line) const {
+  if (rewrite_memo_.empty()) return false;
+  CommandLine parsed = ParseCommand(line);
+  if (parsed.command == nullptr ||
+      parsed.command->handler != &Session::CmdRewrite) {
+    return false;
+  }
+  std::string engine = kDefaultEngine;
+  return ParseEngineRoute(std::string(parsed.rest), kRewriteUsage, &engine,
+                          /*route=*/nullptr)
+             .ok() &&
+         FindMemo(engine) != nullptr;
+}
+
+const RewritePlanCache::Plan* Session::FindMemo(
+    std::string_view engine) const {
+  for (const MemoEntry& entry : rewrite_memo_) {
+    if (entry.engine == engine) return &entry.plan;
+  }
+  return nullptr;
 }
 
 CommandResult Session::CmdHelp(const std::string&) {
@@ -522,12 +550,18 @@ Status Session::Ready(bool needs_views) const {
 
 CommandResult Session::CmdRewrite(const std::string& rest) {
   std::string engine = kDefaultEngine;
-  AQV_RETURN_NOT_OK(ParseEngineRoute(rest, "usage: rewrite [with <engine>]",
-                                     &engine, /*route=*/nullptr));
+  AQV_RETURN_NOT_OK(
+      ParseEngineRoute(rest, kRewriteUsage, &engine, /*route=*/nullptr));
   AQV_RETURN_NOT_OK(Ready(/*needs_views=*/true));
-  // Resolved before the plan cache: an unknown engine is not a lookup.
+  // Resolved before the caches: an unknown engine is not a lookup.
   AQV_ASSIGN_OR_RETURN(std::unique_ptr<RewritingEngine> runner,
                        MakeEngine(engine));
+  // The memo holds this problem's payloads: a repeat renders no key.
+  if (const RewritePlanCache::Plan* memo = FindMemo(engine)) {
+    if (options_.plan_cache != nullptr) options_.plan_cache->CountHit();
+    last_rewrite_ = memo->stats;
+    return Say(memo->rendered);
+  }
   // Shared plan cache: the key is the complete problem statement (engine,
   // options digest, rendered query and views), so a hit is byte-identical
   // to what recomputation would print and schema mutations miss naturally.
@@ -546,6 +580,7 @@ CommandResult Session::CmdRewrite(const std::string& rest) {
     if (std::optional<RewritePlanCache::Plan> plan =
             options_.plan_cache->Lookup(cache_key)) {
       last_rewrite_ = plan->stats;
+      rewrite_memo_.push_back({engine, *plan});
       return Say(std::move(plan->rendered));
     }
   }
@@ -562,10 +597,11 @@ CommandResult Session::CmdRewrite(const std::string& rest) {
   for (const Query& rw : response.rewritings.disjuncts) {
     AppendLine(&out, "  " + rw.ToString());
   }
+  RewritePlanCache::Plan plan{out, last_rewrite_};
   if (options_.plan_cache != nullptr) {
-    options_.plan_cache->Insert(cache_key,
-                                RewritePlanCache::Plan{out, last_rewrite_});
+    options_.plan_cache->Insert(cache_key, plan);
   }
+  rewrite_memo_.push_back({engine, std::move(plan)});
   return Say(std::move(out));
 }
 

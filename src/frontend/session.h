@@ -76,14 +76,16 @@ struct SessionOptions {
   EngineOptions engine;
   /// When set, `show stats` reports this service's lifetime counters.
   /// Commands still execute inline on the calling thread (the TCP server
-  /// already calls Execute on a pool worker). The pointee must outlive
-  /// the session.
+  /// calls Execute on a pool worker, or on its event loop for a line
+  /// AnswersFromMemo accepts). The pointee must outlive the session.
   RewriteService* service = nullptr;
   /// When set, `rewrite` consults and populates this shared rewriting-plan
   /// cache (service/plan_cache.h): an exact repeat of (engine, options,
   /// query text, views text) — across this or any other session sharing
-  /// the cache — is answered byte-identically without an engine run. The
-  /// pointee must outlive the session.
+  /// the cache — is answered byte-identically without an engine run. A
+  /// repeat on an unchanged problem is answered from the session's own
+  /// memo before any key is rendered, and counts one hit. The pointee must
+  /// outlive the session.
   RewritePlanCache* plan_cache = nullptr;
   /// `load` reads files from the process's filesystem; transports serving
   /// remote clients (frontend/server.h) disable it.
@@ -127,7 +129,8 @@ class Session {
     /// is its only caller: it counts the command and journals it.
     CommandResult (Session::*handler)(const std::string& rest);
     /// A read-only server account is refused this command: it changes
-    /// the session's problem or its store.
+    /// the session's problem or its store. Execute drops the rewrite memo
+    /// before running it.
     bool refused_read_only;
     /// On success, Execute appends the line to the attached store's
     /// journal. (`reset` journals itself, before it detaches the store.)
@@ -173,6 +176,14 @@ class Session {
   /// Executes `text` line by line (one command per line), returning one
   /// result per line processed. Stops after a `quit` command.
   std::vector<CommandResult> ExecuteScript(std::string_view text);
+
+  /// True when `line` is a `rewrite` that the session's memo answers: the
+  /// engine it names rewrote the current problem successfully, and no
+  /// command that can change the problem has run since. Execute then
+  /// answers it with no engine run, rendered key or plan-cache lookup.
+  /// The test is one parse and a scan of at most one memo entry per
+  /// engine, so the TCP server runs such a line on its event loop.
+  bool AnswersFromMemo(std::string_view line) const;
 
   // Introspection (tests and transports).
   const Catalog& catalog() const { return *catalog_; }
@@ -229,6 +240,15 @@ class Session {
   /// "set a query first" / "add at least one view first" preconditions.
   [[nodiscard]] Status Ready(bool needs_views) const;
 
+  /// The memo entry of `engine`, or nullptr.
+  const RewritePlanCache::Plan* FindMemo(std::string_view engine) const;
+
+  /// One `rewrite` payload rendered for the current problem.
+  struct MemoEntry {
+    std::string engine;
+    RewritePlanCache::Plan plan;
+  };
+
   SessionOptions options_;
   std::unique_ptr<Catalog> catalog_;
   ViewSet views_;
@@ -237,6 +257,11 @@ class Session {
   /// Search counters of the session's most recent engine call (`show
   /// stats` surfaces them).
   RewriteStats last_rewrite_;
+  /// The successful `rewrite` payloads of the current problem, at most one
+  /// per engine. Execute clears it before every command the table marks
+  /// `refused_read_only`: those are the commands that can change the
+  /// problem.
+  std::vector<MemoEntry> rewrite_memo_;
   uint64_t commands_ = 0;
   int load_depth_ = 0;
   /// The attached database store (save/open). Owns the directory lock

@@ -276,6 +276,18 @@ Result<BucketResult> BucketRewrite(const Query& q, const ViewSet& views,
     }
   }
 
+  // The product of the bucket sizes is what the loop below enumerates:
+  // past the cap, fail now rather than after `max_combinations` of them.
+  uint64_t product = 1;
+  for (const std::vector<ViewAtomCandidate>& bucket : result.buckets) {
+    if (product > options.max_combinations / bucket.size()) {
+      return Status::ResourceExhausted(
+          "bucket combinations exceeded max_combinations=" +
+          std::to_string(options.max_combinations));
+    }
+    product *= bucket.size();
+  }
+
   // Cartesian product over buckets.
   std::vector<int> choice(n, 0);
   std::vector<const ViewAtomCandidate*> picks(n);
@@ -304,11 +316,7 @@ Result<BucketResult> BucketRewrite(const Query& q, const ViewSet& views,
     return true;
   };
   for (;;) {
-    if (++result.combinations_enumerated > options.max_combinations) {
-      return Status::ResourceExhausted(
-          "bucket combinations exceeded max_combinations=" +
-          std::to_string(options.max_combinations));
-    }
+    ++result.combinations_enumerated;
     for (int i = 0; i < n; ++i) {
       picks[i] = &result.buckets[i][choice[i]];
       unfoldings[i] = &unfolded[i][choice[i]];

@@ -16,8 +16,10 @@ namespace aqv {
 struct BucketOptions {
   ContainmentOptions containment;
 
-  /// Cap on bucket combinations enumerated (the Cartesian product is the
-  /// algorithm's exponential step).
+  /// Cap on bucket combinations (the Cartesian product is the algorithm's
+  /// exponential step). When the product of the bucket sizes exceeds it,
+  /// BucketRewrite fails with ResourceExhausted after unfolding the
+  /// entries and before enumerating any combination.
   uint64_t max_combinations = 5'000'000;
 
   /// Keep only rewritings whose expansion is *equivalent* to q, not merely

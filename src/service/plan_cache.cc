@@ -87,6 +87,10 @@ void RewritePlanCache::Insert(const std::string& key, Plan plan) {
   shard.inserts.fetch_add(1, std::memory_order_relaxed);
 }
 
+void RewritePlanCache::CountHit() {
+  shards_.front()->hits.fetch_add(1, std::memory_order_relaxed);
+}
+
 PlanCacheStats RewritePlanCache::stats() const {
   PlanCacheStats s;
   for (const std::unique_ptr<Shard>& shard : shards_) {

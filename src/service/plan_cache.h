@@ -23,7 +23,10 @@
 /// This is the server's only server-lifetime cache. It short-circuits the
 /// entire engine search for exact repeats — the dominant pattern of a
 /// dashboard or retry loop re-issuing one query; a miss runs the engine
-/// with every containment check decided directly.
+/// with every containment check decided directly. A Session also keeps the
+/// payloads it got here for its current problem, until its next mutation,
+/// and answers a repeat from that memo with no key and no lookup
+/// (CountHit counts it).
 
 #ifndef AQV_SERVICE_PLAN_CACHE_H_
 #define AQV_SERVICE_PLAN_CACHE_H_
@@ -98,6 +101,12 @@ class RewritePlanCache {
   /// already present (first writer wins; identical keys imply identical
   /// plans, so dropping the duplicate is sound).
   void Insert(const std::string& key, Plan plan);
+
+  /// Counts one hit without a lookup, for a caller that answers an exact
+  /// repeat from its own copy of a plan it looked up here (a Session's
+  /// memo of its current problem): `hits` keeps counting the rewrites
+  /// answered without an engine run. One relaxed increment, no lock.
+  void CountHit();
 
   /// Aggregated snapshot of the per-shard counters.
   PlanCacheStats stats() const;

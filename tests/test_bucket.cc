@@ -179,6 +179,50 @@ TEST_F(BucketTest, CombinationCapSurfaces) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST_F(BucketTest, CombinationCapIsExactAtTheProduct) {
+  // Two entries per bucket: four combinations. A cap of four enumerates
+  // them all; a cap of three fails.
+  Query q = Parse("q(X) :- e(X, Y), f(Y, Z).");
+  ViewSet vs = Views(
+      "v1(A, B) :- e(A, B).\nv2(A, B) :- e(A, B), t(B).\n"
+      "w1(B, C) :- f(B, C).\nw2(B, C) :- f(B, C), u(C).");
+  BucketOptions opts;
+  opts.max_combinations = 4;
+  BucketResult res = Run(q, vs, opts);
+  EXPECT_EQ(res.combinations_enumerated, 4u);
+  EXPECT_EQ(res.rewritings.size(), 4);
+  opts.max_combinations = 3;
+  auto r = BucketRewrite(q, vs, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(),
+            "ResourceExhausted: bucket combinations exceeded "
+            "max_combinations=3");
+}
+
+TEST_F(BucketTest, CombinationCapFailsBeforeEnumerating) {
+  // A 12-atom chain with 20 entries per bucket: 20^12 ≈ 4.1e15
+  // combinations, past a cap of 10^15 that no enumeration could reach.
+  std::string query = "q(X0, X12) :- ";
+  for (int i = 0; i < 12; ++i) {
+    query += (i == 0 ? "" : ", ") + std::string("e(X") + std::to_string(i) +
+             ", X" + std::to_string(i + 1) + ")";
+  }
+  std::string views;
+  for (int k = 0; k < 20; ++k) {
+    views += "v" + std::to_string(k) + "(A, B) :- e(A, B), p" +
+             std::to_string(k) + "(A).\n";
+  }
+  Query q = Parse(query + ".");
+  ViewSet vs = Views(views);
+  BucketOptions opts;
+  opts.max_combinations = 1'000'000'000'000'000;
+  auto r = BucketRewrite(q, vs, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().ToString(),
+            "ResourceExhausted: bucket combinations exceeded "
+            "max_combinations=1000000000000000");
+}
+
 TEST_F(BucketTest, PruneSubsumedTightensUnion) {
   Query q = Parse("q(X) :- e(X, Y).");
   ViewSet vs = Views(

@@ -1,13 +1,16 @@
 // Unit tests of the frontend Session layer (frontend/session.h): every
 // command including its error paths, script execution, service-backed
-// dispatch, and the workload->script replay round-trip. The Session is
-// pure request/response — no I/O — so these tests pin the exact payload
-// strings the transports (aqvsh, the TCP server) and the docs doctest
-// harness rely on.
+// dispatch, the rewrite memo, and the workload->script replay round-trip.
+// The Session is pure request/response — no I/O — so these tests pin the
+// exact payload strings the transports (aqvsh, the TCP server) and the
+// docs doctest harness rely on.
+
+#include <unistd.h>
 
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/evaluator.h"
@@ -15,6 +18,7 @@
 #include "frontend/session.h"
 #include "gtest/gtest.h"
 #include "service/service.h"
+#include "storage/fs.h"
 #include "workload/registry.h"
 
 namespace aqv {
@@ -602,6 +606,156 @@ TEST(SessionTest, ServiceBackedSessionProducesIdenticalPayloads) {
   }
   // The session ran every command inline: none reached the service's pool.
   EXPECT_EQ(service.lifetime_stats().requests, 0u);
+}
+
+// --- the rewrite memo --------------------------------------------------
+
+/// A database directory for save/open, named per process and emptied on
+/// both ends (a store directory holds only files).
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& tag)
+      : path_("memo_" + tag + "_" + std::to_string(::getpid())) {
+    Wipe();
+  }
+  ~ScratchDir() { Wipe(); }
+
+  const std::string& path() const { return path_; }
+
+ private:
+  void Wipe() {
+    auto names = ListDir(path_);
+    if (names.ok()) {
+      for (const std::string& name : *names) {
+        // Best-effort scratch cleanup; a leftover file fails the next run.
+        AQV_DISCARD_STATUS(RemoveFile(path_ + "/" + name));
+      }
+    }
+    ::rmdir(path_.c_str());
+  }
+
+  std::string path_;
+};
+
+TEST(SessionMemoTest, EveryProblemChangeDropsTheMemo) {
+  // Each command the table marks as changing the problem, between two
+  // `rewrite with lmss` lines. `DIR` stands for each session's own store
+  // directory (two sessions of one process cannot lock the same one).
+  struct Case {
+    std::vector<std::string> prefix;
+    std::string command;
+  };
+  const std::vector<Case> cases = {
+      {{}, "view w(X) :- edge(X, X)."},
+      {{}, "query q(X) :- edge(X, Y), checked(Y)."},
+      {{}, "fact edge(3, 4)."},
+      {{}, "reset"},
+      {{"save DIR"}, "open DIR"},
+      {{}, "view broken("},
+  };
+  const std::string rewrite = "rewrite with lmss";
+  for (const Case& c : cases) {
+    ScratchDir cached_dir("cached"), plain_dir("plain"), fresh_dir("fresh");
+    auto in = [](const std::string& line, const ScratchDir& dir) {
+      size_t at = line.find("DIR");
+      return at == std::string::npos
+                 ? line
+                 : line.substr(0, at) + dir.path() + line.substr(at + 3);
+    };
+    RewritePlanCache plan_cache;
+    SessionOptions options;
+    options.plan_cache = &plan_cache;
+    // `cached` answers from its memo and the plan cache; `plain` runs the
+    // same script with no plan cache; `fresh` skips the first rewrite, so
+    // it has nothing to remember.
+    Session cached(options), plain, fresh;
+    for (auto [session, dir] : {std::pair{&cached, &cached_dir},
+                                std::pair{&plain, &plain_dir},
+                                std::pair{&fresh, &fresh_dir}}) {
+      LoadToyProblem(*session);
+      for (const std::string& line : c.prefix) {
+        ASSERT_TRUE(session->Execute(in(line, *dir)).ok()) << line;
+      }
+    }
+    std::string first = RenderWireResponse(cached.Execute(rewrite));
+    EXPECT_EQ(RenderWireResponse(plain.Execute(rewrite)), first);
+    EXPECT_TRUE(cached.AnswersFromMemo(rewrite)) << c.command;
+    CommandResult changed = cached.Execute(in(c.command, cached_dir));
+    EXPECT_EQ(RenderWireResponse(plain.Execute(in(c.command, plain_dir))),
+              RenderWireResponse(changed));
+    EXPECT_EQ(RenderWireResponse(fresh.Execute(in(c.command, fresh_dir))),
+              RenderWireResponse(changed));
+    EXPECT_FALSE(cached.AnswersFromMemo(rewrite)) << c.command;
+    std::string second = RenderWireResponse(cached.Execute(rewrite));
+    EXPECT_EQ(second, RenderWireResponse(plain.Execute(rewrite)))
+        << c.command;
+    EXPECT_EQ(second, RenderWireResponse(fresh.Execute(rewrite)))
+        << c.command;
+  }
+}
+
+TEST(SessionMemoTest, MemoAnswerCountsOneHitAndRestoresTheCounters) {
+  RewritePlanCache plan_cache;
+  SessionOptions options;
+  options.plan_cache = &plan_cache;
+  Session session(options);
+  LoadToyProblem(session);
+  auto last_rewrite = [&session] {
+    std::string stats = session.Execute("show stats").output;
+    size_t at = stats.find("last rewrite:");
+    return stats.substr(at, stats.find('\n', at) - at);
+  };
+  std::string first = RenderWireResponse(session.Execute("rewrite with lmss"));
+  std::string lmss = last_rewrite();
+  ASSERT_TRUE(session.Execute("rewrite with minicon").ok());
+  ASSERT_NE(last_rewrite(), lmss);
+  EXPECT_EQ(plan_cache.stats().misses, 2u);
+  EXPECT_EQ(plan_cache.stats().hits, 0u);
+
+  ASSERT_TRUE(session.AnswersFromMemo("rewrite with lmss"));
+  EXPECT_EQ(RenderWireResponse(session.Execute("rewrite with lmss")), first);
+  EXPECT_EQ(last_rewrite(), lmss);
+  EXPECT_EQ(plan_cache.stats().hits, 1u);
+  EXPECT_EQ(plan_cache.stats().misses, 2u);
+  EXPECT_EQ(plan_cache.size(), 2u);
+}
+
+TEST(SessionMemoTest, MemoCheckParsesLikeRewrite) {
+  Session session;
+  LoadToyProblem(session);
+  EXPECT_FALSE(session.AnswersFromMemo("rewrite"));
+  ASSERT_TRUE(session.Execute("rewrite").ok());
+  // `rewrite` and `rewrite with minicon` share the default engine's entry.
+  EXPECT_TRUE(session.AnswersFromMemo("rewrite"));
+  EXPECT_TRUE(session.AnswersFromMemo("  rewrite with minicon "));
+  EXPECT_FALSE(session.AnswersFromMemo("rewrite with lmss"));
+  EXPECT_FALSE(session.AnswersFromMemo("rewrite with bogus"));
+  EXPECT_FALSE(session.AnswersFromMemo("rewrite quickly"));
+  EXPECT_FALSE(session.AnswersFromMemo("rewrite with minicon twice"));
+  EXPECT_FALSE(session.AnswersFromMemo("answer"));
+  EXPECT_FALSE(session.AnswersFromMemo("show stats"));
+  EXPECT_FALSE(session.AnswersFromMemo("% rewrite"));
+}
+
+TEST(SessionMemoTest, EngineErrorIsNotMemoized) {
+  RewritePlanCache plan_cache;
+  SessionOptions options;
+  options.plan_cache = &plan_cache;
+  options.engine.bucket.max_combinations = 1;
+  Session session(options);
+  LoadToyProblem(session);
+  // Two entries in each `edge` bucket: four combinations, past the cap.
+  ASSERT_TRUE(session.Execute("view w(X, Y) :- edge(X, Y).").ok());
+  std::string refused =
+      RenderWireResponse(session.Execute("rewrite with bucket"));
+  EXPECT_EQ(refused,
+            "err ResourceExhausted: bucket combinations exceeded "
+            "max_combinations=1\n");
+  EXPECT_FALSE(session.AnswersFromMemo("rewrite with bucket"));
+  EXPECT_EQ(RenderWireResponse(session.Execute("rewrite with bucket")),
+            refused);
+  EXPECT_EQ(plan_cache.stats().misses, 2u);
+  EXPECT_EQ(plan_cache.stats().hits, 0u);
 }
 
 TEST(ReplayTest, ScriptFromScenarioRoundTrips) {

@@ -7,17 +7,22 @@
 // edges: connection-cap refusal and recovery, idle-timeout sweeps, STATS
 // under concurrent load, pipelined `quit` cutting off later commands, the
 // auth/permission gate (handshake ordering, bad credentials, read-only
-// refusal, tenant isolation), and the Stop()-mid-write drain contract.
+// refusal, tenant isolation), rewrites answered from the session's memo on
+// the event loop (while the pool is held, and pipelined between
+// mutations), and the Stop()-mid-write drain contract.
 // Wherever responses are deterministic they are byte-compared against an
 // inline Session rendered through RenderWireResponse — the server must be
 // invisible as a transport. CI additionally runs this binary under
 // ThreadSanitizer (the tsan-service job).
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +60,30 @@ std::string GroundTruth(const std::vector<std::string>& commands) {
     CommandResult result = session.Execute(c);
     expected += RenderWireResponse(result);
     if (result.quit) break;
+  }
+  return expected;
+}
+
+/// GroundTruth with no memo to go stale: each `rewrite` is answered by a
+/// fresh session that has run only the lines before it that are not
+/// rewrites (none of those lines' responses depend on a rewrite).
+std::string RecomputedGroundTruth(const std::vector<std::string>& commands) {
+  SessionOptions options;
+  options.enable_load = false;
+  Session session(options);
+  std::vector<std::string> prefix;
+  std::string expected;
+  for (const std::string& c : commands) {
+    if (Session::ParseCommand(c).word == "rewrite") {
+      Session fresh(options);
+      for (const std::string& p : prefix) fresh.Execute(p);
+      expected += RenderWireResponse(fresh.Execute(c));
+      continue;
+    }
+    CommandResult result = session.Execute(c);
+    expected += RenderWireResponse(result);
+    if (result.quit) break;
+    prefix.push_back(c);
   }
   return expected;
 }
@@ -528,6 +557,123 @@ TEST(ServerProtocolTest, TenantsNeverSeeEachOthersViews) {
   EXPECT_EQ(RecvUntilEof(bob), "ok\n");
   ::close(alice);
   ::close(bob);
+  server.Stop();
+}
+
+// --- rewrites answered from the session's memo on the event loop -------
+
+TEST(ServerProtocolTest, MemoRewriteIsAnsweredWhileThePoolIsHeld) {
+  // One worker, held by a latched task, stands in for a hardness instance
+  // on another connection: a repeated rewrite must still be answered, and
+  // a line the memo cannot answer must wait for the worker.
+  ServerOptions options;
+  options.service.num_workers = 1;
+  FrontendServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  const std::vector<std::string> load = {
+      "view v(X, Y) :- edge(X, Y), checked(Y).",
+      "query q(X, Z) :- edge(X, Y), checked(Y), edge(Y, Z).", "rewrite"};
+  int b = ConnectLoopback(server.port());
+  // A failing server must fail the test, not hang it.
+  timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(b, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  std::string request;
+  for (const std::string& line : load) request += line + "\n";
+  SendAll(b, request);
+  std::string expected = GroundTruth(load);
+  EXPECT_EQ(RecvResponses(b, load.size()), expected);
+  // The rewrite's response: what follows the definitions' responses.
+  std::string first = expected.substr(GroundTruth({load[0], load[1]}).size());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool started = false;
+  bool released = false;
+  ASSERT_TRUE(server.service()
+                  .SubmitTask([&] {
+                    std::unique_lock<std::mutex> lock(mu);
+                    started = true;
+                    cv.notify_all();
+                    cv.wait(lock, [&] { return released; });
+                  })
+                  .ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
+  std::string carry;
+  SendAll(b, "rewrite\n");
+  Result<std::string> repeat = ReadResponse(b, &carry);
+  SendAll(b, "STATS\n");
+  char byte;
+  bool answered_early = ::recv(b, &byte, 1, MSG_PEEK | MSG_DONTWAIT) > 0;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  Result<std::string> stats = ReadResponse(b, &carry);
+
+  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+  EXPECT_EQ(*repeat, first);
+  EXPECT_FALSE(answered_early);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  // The pool ran the load's two lines, the first rewrite, the latched
+  // task and STATS, in that order: STATS counts itself only once the
+  // latch is gone, and the memo's answer is not a pool request. It is a
+  // plan-cache hit.
+  EXPECT_NE(stats->find("service: requests=5 ok=5 failed=0 workers=1"),
+            std::string::npos)
+      << *stats;
+  EXPECT_NE(stats->find("plan_cache: hits=1 misses=1 inserts=1 size=1"),
+            std::string::npos)
+      << *stats;
+  SendAll(b, "quit\n");
+  EXPECT_EQ(RecvUntilEof(b), "ok\n");
+  ::close(b);
+  server.Stop();
+}
+
+TEST(ServerProtocolTest, PipelinedRepeatsBetweenMutationsMatchGroundTruth) {
+  // Two connections pipeline scripts whose rewrites repeat between view,
+  // fact and reset lines, three rounds each: a stale memo, or a memo
+  // answer sent out of order, is a byte divergence from a ground truth
+  // that recomputes every rewrite.
+  FrontendServer server;
+  ASSERT_TRUE(server.Start().ok());
+  const std::vector<std::vector<std::string>> scripts = {
+      {"view v(X, Y) :- edge(X, Y), checked(Y).",
+       "query q(X, Z) :- edge(X, Y), checked(Y), edge(Y, Z).",
+       "rewrite with lmss", "rewrite with lmss", "rewrite",
+       "rewrite with minicon", "fact edge(1, 2).", "rewrite with lmss",
+       "rewrite", "view w(X, Y) :- edge(X, Y).", "rewrite with lmss",
+       "rewrite with lmss", "rewrite with bucket", "rewrite with bucket",
+       "reset", "rewrite", "view u(X, Y) :- edge(Y, X).",
+       "query q(X, Z) :- edge(X, Y), edge(Y, Z).", "rewrite with ucq",
+       "rewrite with ucq", "rewrite with lmss", "quit"},
+      {"view s(X, Y) :- e(X, Y).", "query q(X) :- e(X, Y), e(Y, X).",
+       "rewrite", "rewrite", "view t(X) :- e(X, X).", "rewrite",
+       "rewrite with ucq", "rewrite", "rewrite with ucq", "fact e(1, 1).",
+       "rewrite with ucq", "reset", "view s(X, Y) :- e(X, Y).",
+       "query q(X) :- e(X, Y), e(Y, X).", "rewrite", "rewrite", "quit"},
+  };
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::string> responses(scripts.size());
+    std::vector<std::thread> clients;
+    for (size_t i = 0; i < scripts.size(); ++i) {
+      clients.emplace_back([&, i] {
+        responses[i] = Roundtrip(server.port(), scripts[i]);
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    for (size_t i = 0; i < scripts.size(); ++i) {
+      EXPECT_EQ(responses[i], RecomputedGroundTruth(scripts[i]))
+          << "round " << round << ", script " << i;
+    }
+  }
+  EXPECT_GT(server.plan_cache().stats().hits, 0u);
   server.Stop();
 }
 

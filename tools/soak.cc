@@ -3,14 +3,16 @@
 /// epoll FrontendServer in-process (one shared cross-connection
 /// rewriting-plan cache, containment decided directly), generates
 /// randomized LAV scenario families (workload/generator.h), renders each
-/// as a churning probed session script (frontend/replay.h), and replays
-/// the scripts over real TCP connections from N concurrent client threads
-/// — every response checked byte-for-byte and semantically against an
-/// in-process mirror (testing/differential.h) that memoizes containment
-/// in its own oracle, which makes the soak a live proof that neither the
-/// shared plan cache nor the mirror's oracle perturbs a byte. On
-/// divergence the script is ddmin-shrunk against the live server and
-/// dumped as a standalone `.aqv` repro that `aqvsh` can replay. A multi-tenant isolation phase
+/// as a churning probed session script (frontend/replay.h), sends each of
+/// its `rewrite` lines twice (the repeat is answered from the session's
+/// memo on the server's event loop), and replays the scripts over real
+/// TCP connections from N concurrent client threads — every response
+/// checked byte-for-byte and semantically against an in-process mirror
+/// (testing/differential.h) that memoizes containment in its own oracle,
+/// which makes the soak a live proof that neither the shared plan cache
+/// nor the mirror's oracle perturbs a byte. On divergence the script is
+/// ddmin-shrunk against the live server and dumped as a standalone `.aqv`
+/// repro that `aqvsh` can replay. A multi-tenant isolation phase
 /// (--tenants N) precedes the soak: authenticated tenants interleave
 /// their own scenarios on one account-gated server, and any cross-tenant
 /// leakage diverges from the mirror. Exit code 0 = clean soak, 1 =
@@ -173,6 +175,21 @@ ScenarioPlan PlanScenario(const SoakConfig& cfg, int index) {
   return plan;
 }
 
+/// `lines` with every `rewrite` line sent twice in a row. Nothing changes
+/// the problem in between, so the server answers each repeat from the
+/// session's memo on its event loop, and the mirror byte-compares it like
+/// any other rewrite.
+std::vector<std::string> WithRepeatedRewrites(
+    const std::vector<std::string>& lines) {
+  std::vector<std::string> out;
+  out.reserve(lines.size());
+  for (const std::string& line : lines) {
+    out.push_back(line);
+    if (Session::ParseCommand(line).word == "rewrite") out.push_back(line);
+  }
+  return out;
+}
+
 /// The first divergence any client hit, with everything shrinking and the
 /// repro dump need.
 struct FaultRecord {
@@ -265,7 +282,8 @@ int RunTenantIsolation(const SoakConfig& cfg) {
                          script.status().ToString());
       return;
     }
-    std::vector<std::string> lines = SplitScriptLines(script->text);
+    std::vector<std::string> lines =
+        WithRepeatedRewrites(SplitScriptLines(script->text));
     lines.insert(lines.begin(),
                  "auth tenant" + std::to_string(t) + " " + tokens[t]);
     auto replay = ReplayAndCheckOverTcp(server.port(), lines,
@@ -382,7 +400,8 @@ int Run(const SoakConfig& cfg) {
         stop.store(true);
         break;
       }
-      std::vector<std::string> lines = SplitScriptLines(script->text);
+      std::vector<std::string> lines =
+          WithRepeatedRewrites(SplitScriptLines(script->text));
       TcpReplayOptions ropts;
       if (cfg.inject_fault_at >= 0 && index == 0) {
         ropts.tamper_at_answer = cfg.inject_fault_at;
