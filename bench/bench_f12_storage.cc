@@ -2,24 +2,16 @@
 /// a 10^6-row fact table (plus a bulk relation the query never touches, so
 /// the database file footprint far exceeds the working set) is snapshotted
 /// to a database directory, reopened, and the F5 selective point query is
-/// answered straight off the persisted extents.
-///
-/// Each benchmark runs as an Mmap/Columnar pair — the open-time ablation
-/// of StoreOptions::use_mmap:
-///
-///   Mmap      segments served through the read-only mmap backend
-///             (eval/mmap_store.h): pages fault in lazily, so open is
-///             near-instant and resident memory grows with the *touched*
-///             column set, not the file size;
-///   Columnar  segments copied onto the heap at open — the eager
-///             baseline whose open cost and memory footprint scale with
-///             every byte on disk.
+/// answered straight off the persisted extents. Segments are served
+/// through the read-only mmap backend (eval/mmap_store.h): pages fault in
+/// lazily, so open is near-instant and resident memory grows with the
+/// *touched* column set, not the file size.
 ///
 /// Counters: `file_mb` (on-disk database size), `rss_open_mb` /
 /// `rss_answer_mb` (VmRSS growth across open, and across open + warm
 /// answer; Linux-only, 0 elsewhere), and the evaluator's index counters —
-/// the headline expectation is Mmap rss_answer_mb well below file_mb with
-/// warm `index_hits` > 0, while Columnar tracks file_mb.
+/// the headline expectation is rss_answer_mb well below file_mb with warm
+/// `index_hits` > 0.
 
 #include <benchmark/benchmark.h>
 #include <unistd.h>
@@ -80,9 +72,9 @@ struct DirJanitor {
 struct F12Setup {
   std::string dir;
   StoreOptions options;
-  /// The recovered problem: mmap- or heap-backed extents per the ablation
-  /// arm. Holding it does NOT hold the directory lock — the store is
-  /// dropped after recovery, so BM_F12_OpenRecover can re-attach.
+  /// The recovered problem, its extents mmap-backed. Holding it does NOT
+  /// hold the directory lock — the store is dropped after recovery, so
+  /// BM_F12_OpenRecover can re-attach.
   RecoveredState state;
   Query selective;
   double file_mb = 0;
@@ -90,17 +82,9 @@ struct F12Setup {
   double rss_answer_mb = 0;
 };
 
-EvalOptions IndexedOptions() {
-  EvalOptions o;
-  o.use_cached_indexes = true;
-  return o;
-}
-
-std::unique_ptr<F12Setup> MakeSetup(int db_size, bool use_mmap) {
+std::unique_ptr<F12Setup> MakeSetup(int db_size) {
   auto setup = std::make_unique<F12Setup>();
-  setup->dir = "bench_f12_" + std::to_string(db_size) +
-               (use_mmap ? "_mmap" : "_columnar");
-  setup->options.use_mmap = use_mmap;
+  setup->dir = "bench_f12_" + std::to_string(db_size);
   setup->options.sync = false;  // measuring open/answer, not fsync
   WipeDir(setup->dir);
   CreatedDirs().push_back(setup->dir);
@@ -164,18 +148,15 @@ std::unique_ptr<F12Setup> MakeSetup(int db_size, bool use_mmap) {
       ParseQuery("qsel(C, R) :- sale(C, P), product(P, 5001), customer(C, R).",
                  setup->state.catalog.get()),
       "selective query");
-  bench::Unwrap(
-      EvaluateQuery(setup->selective, setup->state.base, IndexedOptions()),
-      "prime");
+  bench::Unwrap(EvaluateQuery(setup->selective, setup->state.base), "prime");
   setup->rss_answer_mb = RssMb() - rss0;
   return setup;
 }
 
-F12Setup& GetSetup(int db_size, bool use_mmap) {
-  static auto* cache = new std::map<std::pair<int, bool>,
-                                    std::unique_ptr<F12Setup>>();
-  std::unique_ptr<F12Setup>& slot = (*cache)[{db_size, use_mmap}];
-  if (slot == nullptr) slot = MakeSetup(db_size, use_mmap);
+F12Setup& GetSetup(int db_size) {
+  static auto* cache = new std::map<int, std::unique_ptr<F12Setup>>();
+  std::unique_ptr<F12Setup>& slot = (*cache)[db_size];
+  if (slot == nullptr) slot = MakeSetup(db_size);
   return *slot;
 }
 
@@ -188,8 +169,7 @@ void ExportCounters(benchmark::State& state, const F12Setup& setup) {
 }
 
 void BM_F12_OpenRecover(benchmark::State& state) {
-  F12Setup& setup = GetSetup(static_cast<int>(state.range(0)),
-                             state.range(1) != 0);
+  F12Setup& setup = GetSetup(static_cast<int>(state.range(0)));
   uint64_t rows = 0;
   for (auto _ : state) {
     auto store = bench::Unwrap(
@@ -203,15 +183,13 @@ void BM_F12_OpenRecover(benchmark::State& state) {
 }
 
 void BM_F12_SelectiveAnswerPersisted(benchmark::State& state) {
-  F12Setup& setup = GetSetup(static_cast<int>(state.range(0)),
-                             state.range(1) != 0);
+  F12Setup& setup = GetSetup(static_cast<int>(state.range(0)));
   size_t answers = 0;
   EvalStats stats;
   for (auto _ : state) {
     stats = EvalStats();
     Relation r = bench::Unwrap(
-        EvaluateQuery(setup.selective, setup.state.base, IndexedOptions(),
-                      &stats),
+        EvaluateQuery(setup.selective, setup.state.base, {}, &stats),
         "eval");
     answers = r.size();
     benchmark::DoNotOptimize(r);
@@ -223,14 +201,10 @@ void BM_F12_SelectiveAnswerPersisted(benchmark::State& state) {
   ExportCounters(state, setup);
 }
 
-/// size x {Columnar=0, Mmap=1}, labeled so reports read
-/// BM_F12_.../<size>/Mmap:0|1.
+/// Fact-table sizes, labeled so reports read BM_F12_.../size:<size>.
 void F12Args(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"size", "Mmap"});
-  for (int size : {100'000, 1'000'000}) {
-    b->Args({size, 1});
-    b->Args({size, 0});
-  }
+  b->ArgNames({"size"});
+  for (int size : {100'000, 1'000'000}) b->Args({size});
 }
 
 BENCHMARK(BM_F12_OpenRecover)->Apply(F12Args)->Unit(benchmark::kMillisecond);
@@ -242,9 +216,8 @@ BENCHMARK(BM_F12_SelectiveAnswerPersisted)
 }  // namespace aqv
 
 int main(int argc, char** argv) {
-  aqv::bench::Banner("F12", "answering off persisted extents: mmap vs "
-                            "eager columnar open (args: fact-table size, "
-                            "mmap=0/1)");
+  aqv::bench::Banner("F12", "answering off persisted mmap extents (arg: "
+                            "fact-table size)");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

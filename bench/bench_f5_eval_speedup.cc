@@ -3,21 +3,15 @@
 /// warehouse star-schema scenario, across database sizes up to a 10^6-row
 /// fact table.
 ///
-/// Every evaluation benchmark runs as an Indexed/Cold pair:
+/// Every evaluation benchmark runs over a shared setup whose relation index
+/// caches are primed — the steady state of a server answering repeated
+/// queries over static extents — so each reports index_hits > 0 and
+/// index_builds == 0.
 ///
-///   Indexed   use_cached_indexes=true over a shared setup whose relation
-///             index caches are primed — the steady state of a server
-///             answering repeated queries over static extents.
-///   Cold      use_cached_indexes=false — the row-at-a-time baseline that
-///             rebuilds a throwaway hash index on every evaluation (the
-///             pre-cache evaluator behavior).
-///
-/// BM_F5_SelectiveAnswer is the headline pair: a point query with a
-/// constant (one product category out of db_size/100) where the cold path
-/// pays an O(fact-table) index build per evaluation while the indexed path
-/// probes cached postings. Expected shape: the indexed/cold gap widens
-/// with the fact table and clears 10x at 10^6 rows; view materialization
-/// cost (amortized in practice) is reported separately.
+/// BM_F5_SelectiveAnswer is the headline: a point query with a constant
+/// (one product category out of db_size/100) that probes cached postings
+/// instead of scanning the fact table. View materialization cost
+/// (amortized in practice) is reported separately.
 
 #include <benchmark/benchmark.h>
 
@@ -41,18 +35,6 @@ struct F5Setup {
   Query rewriting;
   Query selective;
 };
-
-EvalOptions IndexedOptions() {
-  EvalOptions o;
-  o.use_cached_indexes = true;
-  return o;
-}
-
-EvalOptions ColdOptions() {
-  EvalOptions o;
-  o.use_cached_indexes = false;
-  return o;
-}
 
 /// The executed rewriting is the *planner's* pick, not the first one the
 /// enumeration happens to produce — enumeration order is not cost order
@@ -82,16 +64,14 @@ std::unique_ptr<F5Setup> MakeSetup(int db_size) {
       ParseQuery("qsel(C, R) :- sale(C, P), product(P, 5001), customer(C, R).",
                  setup->scenario.catalog.get()),
       "selective query");
-  // Prime the relation index caches so Indexed variants measure the warm
-  // steady state from the first iteration (the 1x CI smoke included).
-  bench::Unwrap(EvaluateQuery(setup->scenario.query, setup->scenario.base,
-                              IndexedOptions()),
+  // Prime the relation index caches so the evaluation benchmarks measure
+  // the warm steady state from the first iteration (the 1x CI smoke
+  // included).
+  bench::Unwrap(EvaluateQuery(setup->scenario.query, setup->scenario.base),
                 "prime direct");
-  bench::Unwrap(EvaluateQuery(setup->rewriting, setup->extents,
-                              IndexedOptions()),
+  bench::Unwrap(EvaluateQuery(setup->rewriting, setup->extents),
                 "prime rewriting");
-  bench::Unwrap(EvaluateQuery(setup->selective, setup->scenario.base,
-                              IndexedOptions()),
+  bench::Unwrap(EvaluateQuery(setup->selective, setup->scenario.base),
                 "prime selective");
   return setup;
 }
@@ -117,13 +97,12 @@ void ExportEvalCounters(benchmark::State& state, const EvalStats& stats,
   state.counters["index_hits"] = static_cast<double>(stats.index_hits);
 }
 
-void RunEval(benchmark::State& state, const Query& q, const Database& db,
-             const EvalOptions& options) {
+void RunEval(benchmark::State& state, const Query& q, const Database& db) {
   size_t answers = 0;
   EvalStats stats;
   for (auto _ : state) {
     stats = EvalStats();
-    Relation r = bench::Unwrap(EvaluateQuery(q, db, options, &stats), "eval");
+    Relation r = bench::Unwrap(EvaluateQuery(q, db, {}, &stats), "eval");
     answers = r.size();
     benchmark::DoNotOptimize(r);
   }
@@ -133,24 +112,21 @@ void RunEval(benchmark::State& state, const Query& q, const Database& db,
 
 void BM_F5_DirectOverBase(benchmark::State& state) {
   F5Setup& setup = GetSetup(static_cast<int>(state.range(0)));
-  EvalOptions options = state.range(1) ? IndexedOptions() : ColdOptions();
-  RunEval(state, setup.scenario.query, setup.scenario.base, options);
+  RunEval(state, setup.scenario.query, setup.scenario.base);
   state.counters["base_tuples"] =
       static_cast<double>(setup.scenario.base.TotalTuples());
 }
 
 void BM_F5_ViaRewriting(benchmark::State& state) {
   F5Setup& setup = GetSetup(static_cast<int>(state.range(0)));
-  EvalOptions options = state.range(1) ? IndexedOptions() : ColdOptions();
-  RunEval(state, setup.rewriting, setup.extents, options);
+  RunEval(state, setup.rewriting, setup.extents);
   state.counters["extent_tuples"] =
       static_cast<double>(setup.extents.TotalTuples());
 }
 
 void BM_F5_SelectiveAnswer(benchmark::State& state) {
   F5Setup& setup = GetSetup(static_cast<int>(state.range(0)));
-  EvalOptions options = state.range(1) ? IndexedOptions() : ColdOptions();
-  RunEval(state, setup.selective, setup.scenario.base, options);
+  RunEval(state, setup.selective, setup.scenario.base);
   state.counters["base_tuples"] =
       static_cast<double>(setup.scenario.base.TotalTuples());
 }
@@ -175,32 +151,20 @@ void BM_F5_RewritePlanningCost(benchmark::State& state) {
   }
 }
 
-/// size x {Cold=0, Indexed=1}, labeled so reports read
-/// BM_F5_.../<size>/Cold|Indexed.
-void F5EvalArgs(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"size", "Indexed"});
-  for (int size : {10'000, 100'000, 1'000'000}) {
-    b->Args({size, 0});
-    b->Args({size, 1});
-  }
-}
-
-void F5SetupArgs(benchmark::internal::Benchmark* b) {
+/// Fact-table sizes, labeled so reports read BM_F5_.../size:<size>.
+void F5Args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"size"});
   for (int size : {10'000, 100'000, 1'000'000}) b->Args({size});
 }
 
-BENCHMARK(BM_F5_DirectOverBase)
-    ->Apply(F5EvalArgs)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_F5_ViaRewriting)->Apply(F5EvalArgs)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_F5_SelectiveAnswer)
-    ->Apply(F5EvalArgs)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_F5_DirectOverBase)->Apply(F5Args)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_F5_ViaRewriting)->Apply(F5Args)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_F5_SelectiveAnswer)->Apply(F5Args)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_F5_MaterializationCost)
-    ->Apply(F5SetupArgs)
+    ->Apply(F5Args)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_F5_RewritePlanningCost)
-    ->Apply(F5SetupArgs)
+    ->Apply(F5Args)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
@@ -208,7 +172,7 @@ BENCHMARK(BM_F5_RewritePlanningCost)
 
 int main(int argc, char** argv) {
   aqv::bench::Banner("F5", "answering from views vs base tables, warehouse "
-                           "scenario (args: fact-table size, indexed=0/1)");
+                           "scenario (arg: fact-table size)");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,7 +1,6 @@
 #include "eval/evaluator.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "eval/index.h"
 #include "eval/value.h"
@@ -9,9 +8,6 @@
 namespace aqv {
 
 namespace {
-
-using ThrowawayIndex =
-    std::unordered_map<std::vector<Value>, std::vector<size_t>, RowKeyHash>;
 
 bool CmpHolds(CmpOp op, Value a, Value b) {
   switch (op) {
@@ -171,15 +167,13 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db,
           "join pipeline exceeded intermediate_row_cap");
     };
 
-    bool use_cache = options.use_cached_indexes && rel != nullptr &&
-                     (!key_positions.empty() || !const_positions.empty());
-    if (use_cache) {
-      // Cached-index path: the persistent per-relation index is keyed by
-      // the bound-variable positions *plus* the constant positions (so
-      // point lookups like p(X, 7) probe instead of scanning); only the
-      // within-atom duplicate filter remains per matched row. Emission
-      // order is identical to the cold path: postings hold ascending row
-      // ids, and the filters select the same rows either way.
+    if (rel != nullptr &&
+        (!key_positions.empty() || !const_positions.empty())) {
+      // Probe path: the persistent per-relation index is keyed by the
+      // bound-variable positions *plus* the constant positions (so point
+      // lookups like p(X, 7) probe instead of scanning); only the
+      // within-atom duplicate filter remains per matched row. Postings
+      // hold ascending row ids, so rows are emitted in relation order.
       std::vector<int> index_cols;
       index_cols.reserve(key_positions.size() + const_positions.size());
       // probe_from_var[k] >= 0: key slot k reads that binding variable;
@@ -235,7 +229,7 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db,
           if (!emit(brow, r)) return cap_error();
         }
       }
-    } else if (options.use_cached_indexes || key_positions.empty()) {
+    } else {
       // Scan path: nothing to probe with (no bound variables or
       // constants), or the relation is absent. Prefilter once, then
       // cross with every binding.
@@ -247,36 +241,6 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db,
         const Value* brow = bindings.data() + b * nv;
         ++stats->probes;
         for (uint32_t r : candidates) {
-          if (!emit(brow, r)) return cap_error();
-        }
-      }
-    } else {
-      // Cold path (use_cached_indexes off): the pre-cache behavior, kept
-      // as the measured row-at-a-time baseline — a throwaway index built
-      // from scratch inside every evaluation, constants and duplicates
-      // filtered during construction.
-      ThrowawayIndex index;
-      if (rel != nullptr) {
-        ++stats->index_builds;
-        std::vector<Value> key(key_positions.size());
-        for (size_t r = 0; r < rel_rows; ++r) {
-          if (!passes_const_dup(r)) continue;
-          for (size_t k = 0; k < key_positions.size(); ++k) {
-            key[k] = cols[key_positions[k]][r];
-          }
-          index[key].push_back(r);
-        }
-      }
-      std::vector<Value> probe(key_positions.size());
-      for (size_t b = 0; b < num_bindings; ++b) {
-        const Value* brow = bindings.data() + b * nv;
-        for (size_t k = 0; k < key_vars.size(); ++k) {
-          probe[k] = brow[key_vars[k]];
-        }
-        ++stats->probes;
-        auto it = index.find(probe);
-        if (it == index.end()) continue;
-        for (size_t r : it->second) {
           if (!emit(brow, r)) return cap_error();
         }
       }

@@ -8,12 +8,11 @@
 /// go through persistent per-relation hash indexes (relation.h IndexOn) —
 /// built once per (relation, key-column-set), cached on the relation, and
 /// reused across the pipeline, view materialization, fixpoint rounds, and
-/// repeated answer calls; EvalOptions::use_cached_indexes = false restores
-/// the per-query throwaway build as a measured baseline. Invariants:
-/// evaluation never mutates the database, respects
-/// EvalOptions::intermediate_row_cap (kResourceExhausted past it), and
-/// emits deduplicated head tuples in a deterministic order for a fixed
-/// input — bit-identical with index caching on or off.
+/// repeated answer calls. Invariants: evaluation never mutates the
+/// database, respects EvalOptions::intermediate_row_cap
+/// (kResourceExhausted past it), and emits deduplicated head tuples in a
+/// deterministic order for a fixed input, whether its indexes are cached
+/// yet or not.
 
 #ifndef AQV_EVAL_EVALUATOR_H_
 #define AQV_EVAL_EVALUATOR_H_
@@ -32,27 +31,17 @@ struct EvalOptions {
   /// Cap on the number of intermediate binding rows produced across the join
   /// pipeline (kResourceExhausted past it).
   uint64_t intermediate_row_cap = 50'000'000;
-  /// Probe the persistent per-relation hash indexes (built once, cached on
-  /// the relation, invalidated by mutation). Off: rebuild a throwaway
-  /// index inside every evaluation — the pre-index-cache row-at-a-time
-  /// baseline, kept for benchmarking (bench_f5_eval_speedup) and the
-  /// cached-vs-cold equivalence property test. Results are bit-identical
-  /// either way.
-  bool use_cached_indexes = true;
 };
 
 /// Collected per-evaluation statistics (for F5 and diagnosis).
 struct EvalStats {
   uint64_t intermediate_rows = 0;
-  /// Index lookups: one per binding row per joined atom (identical with
-  /// caching on or off).
+  /// Index lookups: one per binding row per joined atom.
   uint64_t probes = 0;
-  /// Hash-index builds: cached-index cache misses, plus every throwaway
-  /// per-query build when use_cached_indexes is off.
+  /// Hash-index builds: misses of a relation's index cache.
   uint64_t index_builds = 0;
-  /// Reuses of a relation's cached hash index (always 0 with
-  /// use_cached_indexes off) — the counter that proves sharing across
-  /// union disjuncts, fixpoint rounds, and repeated calls.
+  /// Reuses of a relation's cached hash index — the counter that proves
+  /// sharing across union disjuncts, fixpoint rounds, and repeated calls.
   uint64_t index_hits = 0;
 };
 

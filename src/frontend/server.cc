@@ -84,8 +84,7 @@ struct FrontendServer::Conn {
 FrontendServer::FrontendServer(ServerOptions options)
     : options_(std::move(options)) {
   service_ = std::make_unique<RewriteService>(options_.service);
-  plan_cache_ = std::make_unique<RewritePlanCache>(
-      options_.plan_cache_max_entries, options_.plan_cache_shards);
+  plan_cache_ = std::make_unique<RewritePlanCache>();
 }
 
 FrontendServer::~FrontendServer() {

@@ -114,9 +114,6 @@ struct ServerOptions {
   /// source), `enable_load`, `engine.oracle` (cleared: the server decides
   /// containment directly), and `plan_cache` are overwritten.
   SessionOptions session;
-  /// Total entry budget / shard count of the shared plan cache.
-  size_t plan_cache_max_entries = size_t{1} << 16;
-  size_t plan_cache_shards = 8;
   /// When non-empty, every connection must `auth` before other commands.
   std::vector<ServerAccount> accounts;
 };

@@ -92,11 +92,7 @@ std::string EngineOptionsDigest(const EngineOptions& o) {
   add(o.lmss.allow_trivial);
   add(o.bucket.max_combinations);
   add(o.bucket.require_equivalent);
-  add(o.bucket.prune_subsumed);
-  add(o.bucket.max_enrichments_per_combination);
   add(o.minicon.max_combinations);
-  add(o.minicon.verify_candidates);
-  add(o.minicon.prune_subsumed);
   return d;
 }
 
@@ -291,16 +287,34 @@ std::vector<CommandResult> Session::ExecuteScript(std::string_view text) {
 
 bool Session::AnswersFromMemo(std::string_view line) const {
   if (rewrite_memo_.empty()) return false;
+  std::optional<std::string> engine = RewriteEngineOf(line);
+  return engine.has_value() && FindMemo(*engine) != nullptr;
+}
+
+std::optional<std::string> Session::RewriteEngineOf(std::string_view line) {
   CommandLine parsed = ParseCommand(line);
   if (parsed.command == nullptr ||
       parsed.command->handler != &Session::CmdRewrite) {
-    return false;
+    return std::nullopt;
   }
   std::string engine = kDefaultEngine;
-  return ParseEngineRoute(std::string(parsed.rest), kRewriteUsage, &engine,
-                          /*route=*/nullptr)
-             .ok() &&
-         FindMemo(engine) != nullptr;
+  if (!ParseEngineRoute(std::string(parsed.rest), kRewriteUsage, &engine,
+                        /*route=*/nullptr)
+           .ok()) {
+    return std::nullopt;
+  }
+  return engine;
+}
+
+std::string Session::RenderRewrite(const RewriteResponse& response) {
+  std::string out = "engine " + response.engine + ": equivalent=" +
+                    (response.equivalent_exists ? "yes" : "no") +
+                    ", rewritings=" +
+                    std::to_string(response.rewritings.size());
+  for (const Query& rw : response.rewritings.disjuncts) {
+    AppendLine(&out, "  " + rw.ToString());
+  }
+  return out;
 }
 
 const RewritePlanCache::Plan* Session::FindMemo(
@@ -590,13 +604,7 @@ CommandResult Session::CmdRewrite(const std::string& rest) {
   request.options = options_.engine;
   AQV_ASSIGN_OR_RETURN(RewriteResponse response, runner->Rewrite(request));
   last_rewrite_ = response.stats;
-  std::string out = "engine " + response.engine + ": equivalent=" +
-                    (response.equivalent_exists ? "yes" : "no") +
-                    ", rewritings=" +
-                    std::to_string(response.rewritings.size());
-  for (const Query& rw : response.rewritings.disjuncts) {
-    AppendLine(&out, "  " + rw.ToString());
-  }
+  std::string out = RenderRewrite(response);
   RewritePlanCache::Plan plan{out, last_rewrite_};
   if (options_.plan_cache != nullptr) {
     options_.plan_cache->Insert(cache_key, plan);

@@ -95,8 +95,8 @@ struct SessionOptions {
   /// on — durable server-side sessions are the point — but an embedder
   /// can turn it off.
   bool enable_persist = true;
-  /// Storage-engine knobs (mmap extents, fsync discipline) applied to
-  /// every store this session attaches.
+  /// Storage-engine knobs (fsync discipline, checksum verification)
+  /// applied to every store this session attaches.
   StoreOptions storage;
 };
 
@@ -184,6 +184,14 @@ class Session {
   /// The test is one parse and a scan of at most one memo entry per
   /// engine, so the TCP server runs such a line on its event loop.
   bool AnswersFromMemo(std::string_view line) const;
+
+  /// The engine a well-formed `rewrite` line runs (the default engine when
+  /// it names none), or nullopt for any other line.
+  static std::optional<std::string> RewriteEngineOf(std::string_view line);
+
+  /// The `rewrite` payload for an engine run: a summary line, then one
+  /// indented line per rewriting.
+  static std::string RenderRewrite(const RewriteResponse& response);
 
   // Introspection (tests and transports).
   const Catalog& catalog() const { return *catalog_; }

@@ -12,6 +12,10 @@ namespace aqv {
 
 namespace {
 
+/// Enrichments (probe homomorphisms into q) tried per combination that
+/// fails its direct check.
+constexpr size_t kMaxEnrichmentsPerCombination = 16;
+
 /// Fills bucket `gi` with one entry per (view, view-subgoal) unification.
 void FillBucket(const Query& q, int gi, const ViewSet& views,
                 std::vector<ViewAtomCandidate>* bucket) {
@@ -118,7 +122,6 @@ Result<Unfolding> Unfold(const Query& q, const ViewAtomCandidate& entry,
     }
     u.atoms.push_back(std::move(a));
   }
-  if (options.max_enrichments_per_combination == 0) return u;
   HomSearchOptions hopts;
   hopts.node_budget = options.containment.node_budget;
   Result<bool> maps = FindHomomorphism(BuildProbe(q, {&u}), q, hopts);
@@ -340,7 +343,7 @@ Result<BucketResult> BucketRewrite(const Query& q, const ViewSet& views,
         keep(std::move(*rewriting));
       }
     }
-    if (!direct_hit && options.max_enrichments_per_combination > 0 &&
+    if (!direct_hit &&
         std::all_of(unfoldings.begin(), unfoldings.end(),
                     [](const Unfolding* u) { return u->maps_into_q; })) {
       // Classic Bucket's containment check may add join predicates: probe
@@ -351,7 +354,7 @@ Result<BucketResult> BucketRewrite(const Query& q, const ViewSet& views,
       std::vector<Substitution> enrichments;
       auto cb = [&](const Substitution& g) {
         enrichments.push_back(g);
-        return enrichments.size() < options.max_enrichments_per_combination;
+        return enrichments.size() < kMaxEnrichmentsPerCombination;
       };
       AQV_ASSIGN_OR_RETURN(int64_t homs,
                            ForEachHomomorphism(probe, q, hopts, cb));
@@ -373,12 +376,6 @@ Result<BucketResult> BucketRewrite(const Query& q, const ViewSet& views,
       --pos;
     }
     if (pos < 0) break;
-  }
-
-  if (options.prune_subsumed) {
-    AQV_ASSIGN_OR_RETURN(
-        result.rewritings,
-        RemoveSubsumedDisjuncts(result.rewritings, views, options.containment));
   }
   return result;
 }

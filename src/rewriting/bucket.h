@@ -25,18 +25,6 @@ struct BucketOptions {
   /// Keep only rewritings whose expansion is *equivalent* to q, not merely
   /// contained in it (the LMSS notion instead of maximal containment).
   bool require_equivalent = false;
-
-  /// Post-process the union by dropping disjuncts subsumed by others
-  /// (quadratic in output size; off for benchmarking parity).
-  bool prune_subsumed = false;
-
-  /// When a combination fails the direct containment check, the classic
-  /// Bucket validation may still succeed after *adding join predicates*:
-  /// we enumerate homomorphisms from the combination's expansion into q and
-  /// use each to identify fresh candidate variables with q terms. This caps
-  /// how many such enrichments are tried per combination. The probe is
-  /// skipped when one entry's unfolding alone cannot map into q.
-  size_t max_enrichments_per_combination = 16;
 };
 
 /// Outcome of the Bucket algorithm.
@@ -59,6 +47,13 @@ struct BucketResult {
 /// combination with an expansion containment check, keeping those contained
 /// in q. Each entry is unfolded once; comparison-free combinations are
 /// decided on those unfoldings, and only passing ones build a rewriting.
+///
+/// When a combination fails the direct check, the classic Bucket
+/// validation may still succeed after *adding join predicates*: up to 16
+/// homomorphisms from the combination's expansion into q each identify
+/// fresh candidate variables with q terms, and each such enrichment is
+/// checked in turn. The probe is skipped when one entry's unfolding alone
+/// cannot map into q.
 ///
 /// The union of kept rewritings is the maximally-contained rewriting of q
 /// using `views` (comparison-free case). Comparisons on q are carried into

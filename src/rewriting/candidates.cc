@@ -10,7 +10,6 @@
 #include "rewriting/pipeline.h"
 #include "rewriting/two_space_unifier.h"
 #include "util/hash.h"
-#include "views/expansion.h"
 
 namespace aqv {
 
@@ -309,43 +308,6 @@ std::optional<ViewAtomCandidate> MakeCandidateFromUnifier(
     }
   }
   return cand;
-}
-
-Result<UnionQuery> RemoveSubsumedDisjuncts(const UnionQuery& rewritings,
-                                           const ViewSet& views,
-                                           const ContainmentOptions& options) {
-  // Expand all disjuncts once, dropping unsatisfiable ones.
-  std::vector<Query> expansions;
-  std::vector<const Query*> kept_sources;
-  UnionQuery out;
-  for (const Query& r : rewritings.disjuncts) {
-    AQV_ASSIGN_OR_RETURN(ExpansionResult e, ExpandRewriting(r, views));
-    if (!e.satisfiable) continue;
-    expansions.push_back(std::move(e.query));
-    kept_sources.push_back(&r);
-  }
-  std::vector<bool> dead(expansions.size(), false);
-  for (size_t i = 0; i < expansions.size(); ++i) {
-    if (dead[i]) continue;
-    for (size_t j = 0; j < expansions.size(); ++j) {
-      if (i == j || dead[j]) continue;
-      AQV_ASSIGN_OR_RETURN(
-          bool sub, IsContainedIn(expansions[i], expansions[j], options));
-      if (sub) {
-        // i ⊑ j: drop i, unless they are equivalent and i comes first.
-        AQV_ASSIGN_OR_RETURN(
-            bool back, IsContainedIn(expansions[j], expansions[i], options));
-        if (!back || j < i) {
-          dead[i] = true;
-          break;
-        }
-      }
-    }
-  }
-  for (size_t i = 0; i < expansions.size(); ++i) {
-    if (!dead[i]) out.disjuncts.push_back(*kept_sources[i]);
-  }
-  return out;
 }
 
 }  // namespace aqv

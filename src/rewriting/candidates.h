@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "containment/containment.h"
 #include "cq/query.h"
 #include "util/status.h"
 #include "views/view.h"
@@ -102,13 +101,6 @@ struct CandidateOptions {
 std::optional<Query> BuildRewriting(
     const Query& q, const std::vector<const ViewAtomCandidate*>& picks,
     bool include_comparisons);
-
-/// Removes union members whose expansion is contained in another member's
-/// expansion (cleanup pass for maximally-contained rewritings). Keeps the
-/// first representative of each equivalence class.
-[[nodiscard]] Result<UnionQuery> RemoveSubsumedDisjuncts(const UnionQuery& rewritings,
-                                           const ViewSet& views,
-                                           const ContainmentOptions& options);
 
 class TwoSpaceUnifier;
 

@@ -106,14 +106,8 @@ class McdCombiner {
  public:
   McdCombiner(const Query& q, const ViewSet& views,
               const std::vector<ViewAtomCandidate>& mcds,
-              const MiniConOptions& options, bool verify,
-              MiniConResult* result)
-      : q_(q),
-        views_(views),
-        mcds_(mcds),
-        options_(options),
-        verify_(verify),
-        result_(result) {
+              const MiniConOptions& options, MiniConResult* result)
+      : q_(q), views_(views), mcds_(mcds), options_(options), result_(result) {
     full_mask_ = q.body().empty()
                      ? 0
                      : (q.body().size() == 64
@@ -125,13 +119,14 @@ class McdCombiner {
 
  private:
   Status Emit() {
+    // The MiniCon theorem covers comparison-free inputs; verify otherwise.
+    const bool verify = q_.has_comparisons();
     AQV_ASSIGN_OR_RETURN(
         ExpansionCheck check,
-        BuildAndVerify(q_, views_, chosen_,
-                       /*include_comparisons=*/q_.has_comparisons(),
-                       verify_ ? VerifyLevel::kContained : VerifyLevel::kNone,
+        BuildAndVerify(q_, views_, chosen_, /*include_comparisons=*/verify,
+                       verify ? VerifyLevel::kContained : VerifyLevel::kNone,
                        options_.containment));
-    if (verify_ && check.rewriting.has_value()) {
+    if (verify && check.rewriting.has_value()) {
       ++result_->candidates_checked;
     }
     if (!check.passed) return Status::OK();
@@ -165,7 +160,6 @@ class McdCombiner {
   const ViewSet& views_;
   const std::vector<ViewAtomCandidate>& mcds_;
   const MiniConOptions& options_;
-  bool verify_;
   MiniConResult* result_;
   uint64_t full_mask_ = 0;
   std::vector<const ViewAtomCandidate*> chosen_;
@@ -193,16 +187,8 @@ Result<MiniConResult> MiniConRewrite(const Query& q, const ViewSet& views,
     }
   }
 
-  // The MiniCon theorem covers comparison-free inputs; verify otherwise.
-  bool verify = options.verify_candidates || q.has_comparisons();
-  McdCombiner combiner(q, views, result.mcds, options, verify, &result);
+  McdCombiner combiner(q, views, result.mcds, options, &result);
   AQV_RETURN_NOT_OK(combiner.Run());
-
-  if (options.prune_subsumed) {
-    AQV_ASSIGN_OR_RETURN(
-        result.rewritings,
-        RemoveSubsumedDisjuncts(result.rewritings, views, options.containment));
-  }
   return result;
 }
 

@@ -18,15 +18,6 @@ struct MiniConOptions {
 
   /// Cap on MCD combinations enumerated.
   uint64_t max_combinations = 5'000'000;
-
-  /// Verify each combined rewriting with an expansion containment check.
-  /// The MiniCon theorem makes this unnecessary for comparison-free inputs
-  /// (the algorithm's headline win over Bucket); it is forced on when q
-  /// carries comparisons, where the theorem does not apply.
-  bool verify_candidates = false;
-
-  /// Post-process the union by dropping subsumed disjuncts.
-  bool prune_subsumed = false;
 };
 
 /// Outcome of the MiniCon algorithm.
@@ -59,7 +50,10 @@ struct MiniConResult {
 ///
 /// By the MiniCon correctness theorem, the union of all disjoint-cover
 /// combinations equals the maximally-contained rewriting without any
-/// per-candidate containment test.
+/// per-candidate containment test (the algorithm's headline win over
+/// Bucket). The theorem does not cover comparisons: when q carries any,
+/// each combined rewriting is verified with an expansion containment
+/// check.
 [[nodiscard]] Result<MiniConResult> MiniConRewrite(const Query& q, const ViewSet& views,
                                      const MiniConOptions& options = {});
 

@@ -26,14 +26,6 @@ ExtentStats ExtentStats::FromDatabase(const Database& db) {
   return stats;
 }
 
-ExtentStats ExtentStats::CardinalitiesOnly(const Database& db) {
-  ExtentStats stats;
-  for (PredId p : db.Predicates()) {
-    stats.cardinality[p] = db.Find(p)->size();
-  }
-  return stats;
-}
-
 namespace {
 
 /// Bound argument positions of `a` given the currently-bound variable

@@ -48,10 +48,6 @@ struct ExtentStats {
   /// distinct counts the relations computed at SortDedup/first-demand
   /// time (eval/index.h RelationStats, via Database::Stats).
   static ExtentStats FromDatabase(const Database& db);
-
-  /// Sizes only — the pre-measurement feed, kept for the model ablation
-  /// (cost estimates fall back to the arity-ratio guess everywhere).
-  static ExtentStats CardinalitiesOnly(const Database& db);
 };
 
 /// \brief Estimated execution cost of a CQ under a left-deep nested-loop

@@ -2,45 +2,7 @@
 
 #include <utility>
 
-#include "util/hash.h"
-
 namespace aqv {
-
-namespace {
-
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-uint64_t KeyHash(const std::string& key) {
-  Fnv1a h;
-  for (unsigned char c : key) h.Mix(static_cast<uint64_t>(c));
-  return h.hash();
-}
-
-}  // namespace
-
-RewritePlanCache::RewritePlanCache(size_t max_entries, size_t num_shards)
-    : max_entries_(max_entries) {
-  if (num_shards < 1) num_shards = 1;
-  if (num_shards > 256) num_shards = 256;
-  num_shards = RoundUpPow2(num_shards);
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  per_shard_budget_ = (max_entries + num_shards - 1) / num_shards;
-  shard_mask_ = static_cast<uint64_t>(num_shards - 1);
-}
-
-RewritePlanCache::Shard& RewritePlanCache::ShardFor(
-    const std::string& key) const {
-  // Top bits slice shards (the map's own hashing consumes the low bits).
-  uint64_t h = KeyHash(key);
-  return *shards_[(h >> 56) & shard_mask_];
-}
 
 std::string RewritePlanCache::MakeKey(const std::string& engine,
                                       const std::string& options_digest,
@@ -64,68 +26,43 @@ std::string RewritePlanCache::MakeKey(const std::string& engine,
 
 std::optional<RewritePlanCache::Plan> RewritePlanCache::Lookup(
     const std::string& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.plans.find(key);
-  if (it == shard.plans.end()) {
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = plans_.find(key);
+  if (it == plans_.end()) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  shard.hits.fetch_add(1, std::memory_order_relaxed);
+  hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second;
 }
 
 void RewritePlanCache::Insert(const std::string& key, Plan plan) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.plans.count(key) != 0) return;  // first writer wins
-  if (shard.plans.size() >= per_shard_budget_) {
-    shard.capacity_rejects.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (plans_.count(key) != 0) return;  // first writer wins
+  if (plans_.size() >= kMaxEntries) {
+    capacity_rejects_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  shard.plans.emplace(key, std::move(plan));
-  shard.inserts.fetch_add(1, std::memory_order_relaxed);
+  plans_.emplace(key, std::move(plan));
+  inserts_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void RewritePlanCache::CountHit() {
-  shards_.front()->hits.fetch_add(1, std::memory_order_relaxed);
+  hits_.fetch_add(1, std::memory_order_relaxed);
 }
 
 PlanCacheStats RewritePlanCache::stats() const {
   PlanCacheStats s;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    s.hits += shard->hits.load(std::memory_order_relaxed);
-    s.misses += shard->misses.load(std::memory_order_relaxed);
-    s.inserts += shard->inserts.load(std::memory_order_relaxed);
-    s.capacity_rejects +=
-        shard->capacity_rejects.load(std::memory_order_relaxed);
-  }
+  s.hits = hits_.load(std::memory_order_relaxed);
+  s.misses = misses_.load(std::memory_order_relaxed);
+  s.inserts = inserts_.load(std::memory_order_relaxed);
+  s.capacity_rejects = capacity_rejects_.load(std::memory_order_relaxed);
   return s;
 }
 
-void RewritePlanCache::ResetStats() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    shard->hits.store(0, std::memory_order_relaxed);
-    shard->misses.store(0, std::memory_order_relaxed);
-    shard->inserts.store(0, std::memory_order_relaxed);
-    shard->capacity_rejects.store(0, std::memory_order_relaxed);
-  }
-}
-
 size_t RewritePlanCache::size() const {
-  size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->plans.size();
-  }
-  return total;
-}
-
-void RewritePlanCache::Clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->plans.clear();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  return plans_.size();
 }
 
 }  // namespace aqv

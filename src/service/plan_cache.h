@@ -15,10 +15,11 @@
 ///     stale plans can never be returned — they merely age out of the
 ///     budget.
 ///
-/// Thread safety: sharded — key hash picks the shard, each shard has its
-/// own mutex and slice of the entry budget; any number of sessions may
-/// Lookup/Insert concurrently. Stats counters are relaxed atomics. Clear()
-/// and ResetStats() must not race lookups.
+/// Thread safety: one mutex guards one map, capped at kMaxEntries plans;
+/// any number of sessions may Lookup/Insert concurrently. Stats counters
+/// are relaxed atomics. A session looks a problem up here at most once
+/// per engine and problem version (its memo answers the repeats), so the
+/// lock sees one lookup and at most one insert per engine run.
 ///
 /// This is the server's only server-lifetime cache. It short-circuits the
 /// entire engine search for exact repeats — the dominant pattern of a
@@ -34,12 +35,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "rewriting/engine.h"
 
@@ -53,7 +52,7 @@ struct PlanCacheStats {
   uint64_t misses = 0;
   /// Plans added to the cache.
   uint64_t inserts = 0;
-  /// Plans not cached because the shard's entry budget was full.
+  /// Plans not cached because the cache held kMaxEntries plans.
   uint64_t capacity_rejects = 0;
 
   uint64_t lookups() const { return hits + misses; }
@@ -62,8 +61,8 @@ struct PlanCacheStats {
   }
 };
 
-/// \brief Sharded map from a rendered problem statement to its verified
-/// rewriting payload.
+/// \brief Map from a rendered problem statement to its verified rewriting
+/// payload.
 class RewritePlanCache {
  public:
   /// One memoized rewrite outcome.
@@ -76,11 +75,10 @@ class RewritePlanCache {
     RewriteStats stats;
   };
 
-  /// `max_entries` bounds total cached plans across all shards; past a
-  /// shard's slice, Insert becomes a counted no-op. `num_shards` is
-  /// clamped to [1, 256] and rounded up to a power of two.
-  explicit RewritePlanCache(size_t max_entries = size_t{1} << 16,
-                            size_t num_shards = 8);
+  /// The entry cap: past it, Insert becomes a counted no-op.
+  static constexpr size_t kMaxEntries = size_t{1} << 16;
+
+  RewritePlanCache() = default;
 
   RewritePlanCache(const RewritePlanCache&) = delete;
   RewritePlanCache& operator=(const RewritePlanCache&) = delete;
@@ -97,7 +95,7 @@ class RewritePlanCache {
   /// The cached plan for `key`, or nullopt (counting a hit or miss).
   std::optional<Plan> Lookup(const std::string& key);
 
-  /// Caches `plan` under `key` unless the shard is at budget or the key is
+  /// Caches `plan` under `key` unless the cache is full or the key is
   /// already present (first writer wins; identical keys imply identical
   /// plans, so dropping the duplicate is sound).
   void Insert(const std::string& key, Plan plan);
@@ -108,35 +106,19 @@ class RewritePlanCache {
   /// answered without an engine run. One relaxed increment, no lock.
   void CountHit();
 
-  /// Aggregated snapshot of the per-shard counters.
+  /// Snapshot of the counters.
   PlanCacheStats stats() const;
-  /// Zeroes the counters. Must not race concurrent lookups.
-  void ResetStats();
 
-  /// Number of cached plans (summed across shards).
+  /// Number of cached plans.
   size_t size() const;
-  size_t max_entries() const { return max_entries_; }
-  size_t num_shards() const { return shards_.size(); }
-
-  /// Drops all plans (stats kept). Must not race concurrent lookups.
-  void Clear();
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, Plan> plans;
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> inserts{0};
-    std::atomic<uint64_t> capacity_rejects{0};
-  };
-
-  Shard& ShardFor(const std::string& key) const;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t max_entries_;
-  size_t per_shard_budget_;
-  uint64_t shard_mask_;
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, Plan> plans_;
+  std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> inserts_{0};
+  std::atomic<uint64_t> capacity_rejects_{0};
 };
 
 }  // namespace aqv

@@ -85,8 +85,7 @@ Result<SegmentInfo> ParseSegmentHeader(const uint8_t* data, size_t size,
 }
 
 Result<Relation> LoadSegment(const std::string& path, PredId pred,
-                             uint32_t expected_crc, bool use_mmap,
-                             bool verify_checksum) {
+                             uint32_t expected_crc, bool verify_checksum) {
   AQV_ASSIGN_OR_RETURN(std::shared_ptr<const MemMap> map, MemMap::Open(path));
   AQV_ASSIGN_OR_RETURN(
       SegmentInfo info,
@@ -95,24 +94,10 @@ Result<Relation> LoadSegment(const std::string& path, PredId pred,
     return Status::ParseError("segment '" + path +
                               "' does not match its manifest checksum");
   }
-  if (use_mmap) {
-    return Relation(pred, info.arity,
-                    MakeMmapStore(std::move(map), kSegmentHeaderSize,
-                                  info.arity, info.rows),
-                    info.sorted);
-  }
-  auto store = MakeColumnarStore(info.arity);
-  const Value* base =
-      reinterpret_cast<const Value*>(map->data() + kSegmentHeaderSize);
-  store->Reserve(info.rows);
-  std::vector<Value> row(static_cast<size_t>(info.arity));
-  for (uint64_t r = 0; r < info.rows; ++r) {
-    for (int c = 0; c < info.arity; ++c) {
-      row[static_cast<size_t>(c)] = base[static_cast<size_t>(c) * info.rows + r];
-    }
-    store->Append(row.data());
-  }
-  return Relation(pred, info.arity, std::move(store), info.sorted);
+  return Relation(pred, info.arity,
+                  MakeMmapStore(std::move(map), kSegmentHeaderSize,
+                                info.arity, info.rows),
+                  info.sorted);
 }
 
 }  // namespace aqv

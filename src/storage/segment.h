@@ -53,14 +53,13 @@ std::string EncodeSegment(const Relation& rel);
 [[nodiscard]] Result<SegmentInfo> ParseSegmentHeader(const uint8_t* data, size_t size,
                                        bool verify_checksum);
 
-/// Loads the segment at `path` as a Relation for predicate `pred`:
-/// mmap-backed (use_mmap — the file pages in lazily and stays on disk) or
-/// copied into the in-memory columnar backend. `expected_crc` cross-checks
-/// the header CRC against the manifest entry (detecting a wrong-file
-/// swap, not just torn bytes).
+/// Loads the segment at `path` as a Relation for predicate `pred`, backed
+/// by the read-only mmap store (eval/mmap_store.h): the file pages in
+/// lazily and stays on disk. `expected_crc` cross-checks the header CRC
+/// against the manifest entry (detecting a wrong-file swap, not just torn
+/// bytes).
 [[nodiscard]] Result<Relation> LoadSegment(const std::string& path, PredId pred,
-                             uint32_t expected_crc, bool use_mmap,
-                             bool verify_checksum);
+                             uint32_t expected_crc, bool verify_checksum);
 
 }  // namespace aqv
 

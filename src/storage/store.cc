@@ -202,7 +202,7 @@ Result<RecoveredState> SessionStore::Recover() {
     }
     AQV_ASSIGN_OR_RETURN(
         Relation rel,
-        LoadSegment(Path(entry.file), *pred, entry.crc, options_.use_mmap,
+        LoadSegment(Path(entry.file), *pred, entry.crc,
                     options_.verify_checksums));
     if (rel.arity() != state.catalog->pred(*pred).arity) {
       return Status::ParseError("segment arity disagrees with catalog for '" +

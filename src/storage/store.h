@@ -17,9 +17,9 @@
 /// files garbage-collected. Mutations between snapshots append framed,
 /// checksummed records to the journal (fsync'd per record when
 /// `StoreOptions::sync`). Recovery is therefore always: parse MANIFEST
-/// (old or new, never torn), mount its segments (mmap-backed by
-/// default), truncate any torn journal tail, replay the rest. A crash at
-/// *any* write position loses at most unacknowledged work.
+/// (old or new, never torn), mount its segments (mmap-backed), truncate
+/// any torn journal tail, replay the rest. A crash at *any* write
+/// position loses at most unacknowledged work.
 ///
 /// The store knows catalogs, rule *text*, and databases — not ViewSet or
 /// Session. The frontend renders rules down and parses them back up, so
@@ -41,13 +41,11 @@
 
 namespace aqv {
 
-/// Storage-engine knobs (threaded through SessionOptions).
+/// Storage-engine knobs (threaded through SessionOptions). Persisted
+/// extents are served through the read-only mmap backend
+/// (eval/mmap_store.h); journal-replayed facts append on the heap (the
+/// store upgrades copy-on-write).
 struct StoreOptions {
-  /// Serve persisted extents through the read-only mmap backend
-  /// (eval/mmap_store.h) instead of copying them onto the heap — the
-  /// larger-than-RAM mode. Journal-replayed facts still append on the
-  /// heap (the store upgrades copy-on-write).
-  bool use_mmap = true;
   /// fsync segments, journal records, and manifest swaps. Turning this
   /// off trades crash safety on power loss for speed; the atomic-rename
   /// commit discipline is kept either way.

@@ -35,6 +35,23 @@ Result<std::vector<std::string>> DirectRows(const Session& session) {
   return SplitScriptLines(sorted.ToString(session.catalog()));
 }
 
+/// The wire response of `engine` run afresh on the session's current
+/// problem, rendered as `rewrite` renders it.
+Result<std::string> FreshRewrite(const Session& session,
+                                 const std::string& engine) {
+  if (!session.query().has_value() || session.views().empty()) {
+    return Status::InvalidArgument("no query or no views to rewrite");
+  }
+  RewriteRequest request;
+  request.query = *session.query();
+  request.views = &session.views();
+  request.options = session.options().engine;
+  AQV_ASSIGN_OR_RETURN(RewriteResponse response, RunEngine(engine, request));
+  CommandResult fresh;
+  fresh.output = Session::RenderRewrite(response);
+  return RenderWireResponse(fresh);
+}
+
 std::string JoinLines(const std::vector<std::string>& lines) {
   std::string out;
   for (const std::string& line : lines) {
@@ -128,6 +145,10 @@ std::optional<Divergence> MirrorChecker::Check(const std::string& command,
   // (recovered state vs never-persisted mirror state).
   Session::MirrorMode mode = ModeOf(command);
   if (mode == Session::MirrorMode::kSkip) return std::nullopt;
+  std::optional<std::string> memo_engine;
+  if (session_.AnswersFromMemo(command)) {
+    memo_engine = Session::RewriteEngineOf(command);
+  }
   CommandResult mirror = session_.Execute(command);
   if (mode != Session::MirrorMode::kCompare) return std::nullopt;
 
@@ -140,6 +161,15 @@ std::optional<Divergence> MirrorChecker::Check(const std::string& command,
   std::string expected = RenderWireResponse(mirror);
   if (expected != raw_response) {
     return diverge("wire-mismatch", expected, raw_response);
+  }
+
+  if (memo_engine.has_value()) {
+    ++rewrites_rederived_;
+    Result<std::string> fresh = FreshRewrite(session_, *memo_engine);
+    std::string want = fresh.ok() ? *fresh : fresh.status().ToString();
+    if (want != raw_response) {
+      return diverge("stale-rewrite", want, raw_response);
+    }
   }
 
   std::string_view word = Session::ParseCommand(command).word;
@@ -256,6 +286,7 @@ Result<TcpReplayResult> ReplayAndCheckOverTcp(
   }
   result.answers_checked = checker.answers_checked();
   result.rewrites_checked = checker.rewrites_checked();
+  result.rewrites_rederived = checker.rewrites_rederived();
   ::close(fd);
   AQV_RETURN_NOT_OK(transport);
   return result;

@@ -15,7 +15,11 @@
 /// response is semantically cross-checked against ground truth computed
 /// on the mirror's own state via the direct route: `(exact)` responses
 /// must equal the direct relation, `(certain)` responses must be a subset
-/// of it (answering/answering.h route semantics).
+/// of it (answering/answering.h route semantics). A `rewrite` the mirror
+/// answers from its memo is also re-derived by running the engine on the
+/// mirror's current problem: the mirror memoizes with the server's code,
+/// so a missed memo invalidation would otherwise go stale on both sides
+/// alike.
 ///
 /// The file also carries the fuzzing utilities around the checker: a
 /// TCP replay loop that drives a live FrontendServer alongside a mirror
@@ -50,7 +54,9 @@ struct Divergence {
   /// "exact-mismatch" (`(exact)` answer != direct route),
   /// "certain-not-subset" (`(certain)` answer has a row the direct route
   /// lacks), or "malformed-answer" (an ok `answer` payload that does not
-  /// parse as the transcript grammar).
+  /// parse as the transcript grammar), or "stale-rewrite" (a `rewrite`
+  /// answered from the memo differs from a fresh engine run on the
+  /// mirror's current problem).
   std::string kind;
   /// What the mirror / ground truth expected.
   std::string expected;
@@ -111,6 +117,8 @@ class MirrorChecker {
   int commands() const { return index_; }
   uint64_t answers_checked() const { return answers_checked_; }
   uint64_t rewrites_checked() const { return rewrites_checked_; }
+  /// Memo-answered rewrites checked against a fresh engine run.
+  uint64_t rewrites_rederived() const { return rewrites_rederived_; }
 
  private:
   /// The mirror's own single-shard oracle. Declaration order vs the
@@ -122,6 +130,7 @@ class MirrorChecker {
   int index_ = 0;
   uint64_t answers_checked_ = 0;
   uint64_t rewrites_checked_ = 0;
+  uint64_t rewrites_rederived_ = 0;
 };
 
 /// \brief Tampers one answer response in place for harness self-tests:
@@ -152,6 +161,7 @@ struct TcpReplayResult {
   int commands_sent = 0;
   uint64_t answers_checked = 0;
   uint64_t rewrites_checked = 0;
+  uint64_t rewrites_rederived = 0;
 };
 
 /// \brief Replays `lines` over a real TCP connection to a FrontendServer

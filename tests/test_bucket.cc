@@ -223,20 +223,6 @@ TEST_F(BucketTest, CombinationCapFailsBeforeEnumerating) {
             "max_combinations=1000000000000000");
 }
 
-TEST_F(BucketTest, PruneSubsumedTightensUnion) {
-  Query q = Parse("q(X) :- e(X, Y).");
-  ViewSet vs = Views(
-      "v1(A, B) :- e(A, B).\n"
-      "v2(A, B) :- e(A, B), t(B).");
-  BucketOptions opts;
-  opts.prune_subsumed = true;
-  BucketResult res = Run(q, vs, opts);
-  // v2's rewriting is subsumed by v1's.
-  ASSERT_EQ(res.rewritings.size(), 1);
-  EXPECT_NE(res.rewritings.disjuncts[0].ToString().find("v1"),
-            std::string::npos);
-}
-
 TEST_F(BucketTest, EnrichmentRecoversJoinPredicateRewritings) {
   // Regression for the classic Bucket incompleteness: the subchain views
   // expose the join variable, but each bucket entry introduces a fresh
@@ -263,18 +249,6 @@ TEST_F(BucketTest, EnrichmentRecoversJoinPredicateRewritings) {
   // passes and is counted too.
   EXPECT_EQ(res.combinations_enumerated, 1u);
   EXPECT_EQ(res.candidates_checked, 2u);
-}
-
-TEST_F(BucketTest, EnrichmentCapZeroDisablesIt) {
-  Query q = Parse("q(X0, X3) :- s1(X0, X1), s2(X1, X2), s3(X2, X3).");
-  ViewSet vs = Views(
-      "w1(Y0, Y2) :- s1(Y0, Y1), s2(Y1, Y2).\n"
-      "w5(Y2, Y3) :- s3(Y2, Y3).");
-  BucketOptions opts;
-  opts.max_enrichments_per_combination = 0;
-  BucketResult res = Run(q, vs, opts);
-  // Without enrichment the classic algorithm finds nothing here.
-  EXPECT_TRUE(res.rewritings.empty());
 }
 
 TEST_F(BucketTest, ConstantClashIsUnbuildableAndUnchecked) {
@@ -468,6 +442,9 @@ std::vector<ViewAtomCandidate> ReferenceEnrich(
   return out;
 }
 
+/// Probe homomorphisms BucketRewrite tries per failing combination.
+constexpr size_t kReferenceEnrichmentCap = 16;
+
 Result<ReferenceOutcome> ReferenceLoop(
     const Query& q, const ViewSet& views,
     const std::vector<std::vector<ViewAtomCandidate>>& buckets,
@@ -501,14 +478,14 @@ Result<ReferenceOutcome> ReferenceLoop(
     std::vector<const ViewAtomCandidate*> picks;
     for (int i = 0; i < n; ++i) picks.push_back(&buckets[i][choice[i]]);
     AQV_ASSIGN_OR_RETURN(bool hit, try_candidate(picks));
-    if (!hit && options.max_enrichments_per_combination > 0) {
+    if (!hit) {
       Query probe = ReferenceProbe(q, views, picks);
       HomSearchOptions hopts;
       hopts.node_budget = options.containment.node_budget;
       std::vector<Substitution> enrichments;
       auto cb = [&](const Substitution& g) {
         enrichments.push_back(g);
-        return enrichments.size() < options.max_enrichments_per_combination;
+        return enrichments.size() < kReferenceEnrichmentCap;
       };
       AQV_ASSIGN_OR_RETURN(int64_t homs,
                            ForEachHomomorphism(probe, q, hopts, cb));

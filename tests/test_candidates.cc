@@ -195,19 +195,6 @@ TEST_F(CandidatesTest, FreshVariableForUnconstrainedOutput) {
   EXPECT_EQ(cand->atom.args[1], Term::Var(q.num_vars() + 0));
 }
 
-TEST_F(CandidatesTest, RemoveSubsumedDisjunctsKeepsMaximal) {
-  Query q = Parse("q(X) :- e(X, Y).");
-  ViewSet vs = Views("v1(A) :- e(A, B).\nv0(A) :- e(A, B), t(B).");
-  UnionQuery u;
-  u.disjuncts.push_back(Parse("q(X) :- v0(X)."));  // narrower expansion
-  u.disjuncts.push_back(Parse("q(X) :- v1(X)."));  // wider expansion
-  auto pruned = RemoveSubsumedDisjuncts(u, vs, {});
-  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
-  ASSERT_EQ(pruned.value().size(), 1);
-  EXPECT_NE(pruned.value().disjuncts[0].ToString().find("v1"),
-            std::string::npos);
-}
-
 TEST_F(CandidatesTest, QueryDeduperKeepsOneCopyPerIdentity) {
   QueryDeduper seen;
   EXPECT_TRUE(seen.Insert(Parse("q(X, Y) :- r(X, Z), s(Z, Y), Z < 3.")));

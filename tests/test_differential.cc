@@ -104,6 +104,68 @@ TEST(DifferentialTest, HonestResponsesProduceNoDivergence) {
   EXPECT_EQ(checker.rewrites_checked(), 1u);
 }
 
+/// Rewrites repeated between mutations: every repeat is answered from the
+/// memo, and each mutation changes the next rewrite's payload, so a memo
+/// that survived a mutation would answer stale on both sides alike.
+const std::vector<std::string> kRepeatsBetweenMutations = {
+    "view v1(X, Y) :- edge(X, Y), checked(Y).",
+    "query q(X, Z) :- edge(X, Y), checked(Y), edge(Y, Z).",
+    "rewrite",
+    "rewrite",
+    "rewrite with lmss",
+    "view v2(X, Y) :- edge(X, Y).",
+    "rewrite",
+    "rewrite with minicon",
+    "rewrite with lmss",
+    "rewrite with lmss",
+    "query q(X) :- edge(X, X).",
+    "rewrite with bucket",
+    "rewrite with bucket",
+    "reset",
+    "view v3(X) :- checked(X).",
+    "query q(X) :- checked(X).",
+    "rewrite",
+    "rewrite",
+    "quit"};
+
+TEST(DifferentialTest, MemoAnsweredRewritesAreRederived) {
+  Session honest;
+  MirrorChecker checker;
+  std::vector<std::string> payloads;
+  for (const std::string& line : kRepeatsBetweenMutations) {
+    CommandResult result = honest.Execute(line);
+    if (Session::ParseCommand(line).word == "rewrite") {
+      ASSERT_TRUE(result.ok()) << line << ": " << result.status.ToString();
+      payloads.push_back(result.output);
+    }
+    auto divergence = checker.Check(line, RenderWireResponse(result));
+    EXPECT_FALSE(divergence.has_value())
+        << line << ": " << divergence->ToString();
+  }
+  // Each mutation changes what the next rewrite of that engine prints.
+  ASSERT_EQ(payloads.size(), 11u);
+  EXPECT_NE(payloads[0], payloads[3]);  // minicon, before and after v2
+  EXPECT_NE(payloads[2], payloads[5]);  // lmss, before and after v2
+  EXPECT_NE(payloads[0], payloads[9]);  // minicon, before and after reset
+  EXPECT_EQ(checker.rewrites_checked(), 11u);
+  // The repeats: rewrite, rewrite with minicon, rewrite with lmss,
+  // rewrite with bucket, and the last rewrite.
+  EXPECT_EQ(checker.rewrites_rederived(), 5u);
+}
+
+TEST(DifferentialTest, TcpReplayRederivesMemoAnsweredRewrites) {
+  FrontendServer server;
+  ASSERT_TRUE(server.Start().ok());
+  auto result =
+      ReplayAndCheckOverTcp(server.port(), kRepeatsBetweenMutations, {});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->divergence.has_value())
+      << result->divergence->ToString();
+  EXPECT_EQ(result->rewrites_checked, 11u);
+  EXPECT_EQ(result->rewrites_rederived, 5u);
+  server.Stop();
+}
+
 TEST(DifferentialTest, TamperedAnswerIsCaught) {
   Session honest;
   MirrorChecker checker;

@@ -160,16 +160,6 @@ TEST_F(MiniConTest, MatchesBucketOnStar) {
   CheckMatchesBucket(q, vs);
 }
 
-TEST_F(MiniConTest, VerifyOptionChangesNothingOnCleanInputs) {
-  Query q = Parse("q(X, Z) :- e(X, Y), f(Y, Z).");
-  ViewSet vs = Views("v(A, B) :- e(A, B).\nw(B, C) :- f(B, C).");
-  MiniConOptions verify;
-  verify.verify_candidates = true;
-  MiniConResult a = Run(q, vs);
-  MiniConResult b = Run(q, vs, verify);
-  EXPECT_EQ(a.rewritings.size(), b.rewritings.size());
-}
-
 TEST_F(MiniConTest, SelfJoinMcds) {
   Query q = Parse("q(X) :- e(X, Y), e(Y, X).");
   ViewSet vs = Views("v(A, B) :- e(A, B).");

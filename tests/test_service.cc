@@ -10,6 +10,7 @@
 
 #include "containment/oracle.h"
 #include "service/mpmc_queue.h"
+#include "service/plan_cache.h"
 #include "service/service.h"
 #include "workload/registry.h"
 
@@ -214,6 +215,30 @@ TEST(RewriteServiceTest, ShardedOracleStatsExactUnderSingleThread) {
   EXPECT_EQ(sharded.size(), s.inserts);  // entries survive a stats reset
   sharded.Clear();
   EXPECT_EQ(sharded.size(), 0u);
+}
+
+TEST(PlanCacheTest, EntryCapRejectsInsertsPastIt) {
+  RewritePlanCache cache;
+  const size_t cap = RewritePlanCache::kMaxEntries;
+  ASSERT_EQ(cap, size_t{1} << 16);
+  for (size_t i = 0; i < cap; ++i) {
+    cache.Insert("key" + std::to_string(i), {});
+  }
+  EXPECT_EQ(cache.size(), cap);
+  EXPECT_EQ(cache.stats().inserts, cap);
+  EXPECT_EQ(cache.stats().capacity_rejects, 0u);
+
+  cache.Insert("one too many", {"payload", {}});
+  EXPECT_EQ(cache.stats().capacity_rejects, 1u);
+  EXPECT_EQ(cache.stats().inserts, cap);
+  EXPECT_EQ(cache.size(), cap);
+  EXPECT_FALSE(cache.Lookup("one too many").has_value());
+
+  // A key already cached stays a no-op at the cap, not a reject.
+  cache.Insert("key0", {"other", {}});
+  EXPECT_EQ(cache.stats().capacity_rejects, 1u);
+  EXPECT_TRUE(cache.Lookup("key0").has_value());
+  EXPECT_EQ(cache.Lookup("key0")->rendered, "");
 }
 
 TEST(ServiceStatsTest, NearestRankPercentileSmallSamples) {

@@ -135,57 +135,41 @@ std::vector<std::string> ScriptForSeed(uint64_t seed) {
 
 TEST(SharedCacheTest, CacheModesAreByteIdenticalOnPinnedSeeds) {
   // The acceptance property of the shared plan cache: across 20 pinned
-  // generator seeds, a server with an 8-shard and one with a 1-shard plan
-  // cache answer every replayed script byte-identically to the cache-free
-  // inline-session ground truth — even with two clients racing the same
-  // script through the shared cache.
-  ServerOptions shared8;
-  shared8.service.num_workers = 4;
-  shared8.plan_cache_shards = 8;
-
-  ServerOptions shared1;
-  shared1.service.num_workers = 4;
-  shared1.plan_cache_shards = 1;
-
-  FrontendServer server_shared8(shared8);
-  FrontendServer server_shared1(shared1);
-  ASSERT_TRUE(server_shared8.Start().ok());
-  ASSERT_TRUE(server_shared1.Start().ok());
-  FrontendServer* servers[] = {&server_shared8, &server_shared1};
+  // generator seeds, a server with a shared plan cache answers every
+  // replayed script byte-identically to the cache-free inline-session
+  // ground truth — even with clients racing the same script through the
+  // shared cache.
+  ServerOptions options;
+  options.service.num_workers = 4;
+  FrontendServer server(options);
+  ASSERT_TRUE(server.Start().ok());
 
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     std::vector<std::string> lines = ScriptForSeed(seed);
     ASSERT_FALSE(lines.empty()) << "seed " << seed;
     std::string expected = GroundTruth(lines);
 
-    // Two clients per server replay the script concurrently: cross-
-    // connection cache hits must not perturb a single byte.
-    std::string responses[2][2];
+    // Concurrent clients replay the script: cross-connection cache hits
+    // must not perturb a single byte.
+    constexpr int kClients = 2;
+    std::string responses[kClients];
     std::vector<std::thread> clients;
-    for (int s = 0; s < 2; ++s) {
-      for (int c = 0; c < 2; ++c) {
-        clients.emplace_back([&, s, c] {
-          responses[s][c] = Roundtrip(servers[s]->port(), lines);
-        });
-      }
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back(
+          [&, c] { responses[c] = Roundtrip(server.port(), lines); });
     }
     for (std::thread& t : clients) t.join();
-    for (int s = 0; s < 2; ++s) {
-      for (int c = 0; c < 2; ++c) {
-        EXPECT_EQ(responses[s][c], expected)
-            << "seed " << seed << " server " << s << " client " << c;
-      }
+    for (int c = 0; c < kClients; ++c) {
+      EXPECT_EQ(responses[c], expected) << "seed " << seed << " client " << c;
     }
   }
 
-  // The equivalence only attests cache sharing if the plan caches were
+  // The equivalence only attests cache sharing if the plan cache was
   // actually exercised: 20 seeds x 2 clients of repeated probes must have
-  // produced hits in both servers.
-  EXPECT_GT(server_shared8.plan_cache().stats().hits, 0u);
-  EXPECT_GT(server_shared1.plan_cache().stats().hits, 0u);
+  // produced hits.
+  EXPECT_GT(server.plan_cache().stats().hits, 0u);
 
-  server_shared8.Stop();
-  server_shared1.Stop();
+  server.Stop();
 }
 
 TEST(SharedCacheTest, RepeatedScriptsHitThePlanCacheAcrossConnections) {
@@ -219,6 +203,48 @@ TEST(SharedCacheTest, RepeatedScriptsHitThePlanCacheAcrossConnections) {
   EXPECT_GE(after_second.hits, 2u);
   EXPECT_EQ(after_second.inserts, after_first.inserts);
   server.Stop();
+}
+
+TEST(SharedCacheTest, EngineOptionsSeparateCachedPlans) {
+  // Two kinds of session share one plan cache and differ in one engine
+  // option that changes bucket's payload. Neither may be answered from a
+  // plan the other cached.
+  const std::vector<std::string> problem = {
+      "view v1(A, B) :- e(A, B).",
+      "view v2(A) :- e(A, B), t(B).",  // contained in q, not equivalent
+      "query q(X) :- e(X, Y).",
+  };
+  RewritePlanCache cache;
+  SessionOptions contained_options;
+  contained_options.plan_cache = &cache;
+  SessionOptions equivalent_options = contained_options;
+  equivalent_options.engine.bucket.require_equivalent = true;
+  auto rewrite = [&](const SessionOptions& options) {
+    Session session(options);
+    for (const std::string& line : problem) {
+      EXPECT_TRUE(session.Execute(line).ok()) << line;
+    }
+    CommandResult result = session.Execute("rewrite with bucket");
+    EXPECT_TRUE(result.ok()) << result.status.ToString();
+    return result.output;
+  };
+  auto uncached = [&](SessionOptions options) {
+    options.plan_cache = nullptr;
+    return rewrite(options);
+  };
+  const std::string contained = uncached(contained_options);
+  const std::string equivalent = uncached(equivalent_options);
+  ASSERT_NE(contained, equivalent) << "the option must change the payload";
+
+  EXPECT_EQ(rewrite(contained_options), contained);
+  EXPECT_EQ(rewrite(equivalent_options), equivalent);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().inserts, 2u);
+  // Each options set is then answered from its own plan.
+  EXPECT_EQ(rewrite(equivalent_options), equivalent);
+  EXPECT_EQ(rewrite(contained_options), contained);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(SharedCacheTest, ViewMutationsInvalidateCachedPlans) {

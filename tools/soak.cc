@@ -362,6 +362,7 @@ int Run(const SoakConfig& cfg) {
   std::atomic<long> total_commands{0};
   std::atomic<long> total_answers{0};
   std::atomic<long> total_rewrites{0};
+  std::atomic<long> total_rederived{0};
   std::atomic<bool> stop{false};
   std::mutex fault_mu;
   std::optional<FaultRecord> fault;
@@ -417,6 +418,8 @@ int Run(const SoakConfig& cfg) {
       total_commands.fetch_add(replay->commands_sent);
       total_answers.fetch_add(static_cast<long>(replay->answers_checked));
       total_rewrites.fetch_add(static_cast<long>(replay->rewrites_checked));
+      total_rederived.fetch_add(
+          static_cast<long>(replay->rewrites_rederived));
       int done = scenarios_done.fetch_add(1) + 1;
       if (replay->divergence.has_value()) {
         std::lock_guard<std::mutex> lock(fault_mu);
@@ -433,9 +436,9 @@ int Run(const SoakConfig& cfg) {
       }
       if (done % 10 == 0 || done == cfg.scenarios) {
         std::printf("[soak] %d scenario(s), %ld command(s), %ld answer "
-                    "check(s), %ld rewrite check(s)\n",
+                    "check(s), %ld rewrite check(s), %ld re-derived\n",
                     done, total_commands.load(), total_answers.load(),
-                    total_rewrites.load());
+                    total_rewrites.load(), total_rederived.load());
       }
     }
   };
@@ -488,9 +491,10 @@ int Run(const SoakConfig& cfg) {
               plans.hit_rate());
   server.Stop();
   std::printf("[soak] done: %d scenario(s), %ld command(s), %ld answer "
-              "check(s), %ld rewrite check(s), %s\n",
+              "check(s), %ld rewrite check(s), %ld re-derived, %s\n",
               scenarios_done.load(), total_commands.load(),
               total_answers.load(), total_rewrites.load(),
+              total_rederived.load(),
               exit_code == 0 ? "no divergence"
                              : (exit_code == 1 ? "DIVERGENCE" : "ERROR"));
   return exit_code;
