@@ -4,6 +4,7 @@
 
 #include "eval/index.h"
 #include "eval/value.h"
+#include "util/hash.h"
 
 namespace aqv {
 
@@ -59,6 +60,79 @@ std::vector<int> PlanAtomOrder(const Query& q, const Database& db) {
   return order;
 }
 
+/// The last plan step that reads each variable: the last atom holding it,
+/// or the step after which a comparison on it applies, whichever is
+/// later. Head variables are read after the last step (`order.size()`).
+std::vector<int> LastReadSteps(const Query& q, const std::vector<int>& order) {
+  std::vector<int> bound_at(q.num_vars(), -1);
+  std::vector<int> last(q.num_vars(), -1);
+  for (int step = 0; step < static_cast<int>(order.size()); ++step) {
+    for (Term t : q.body()[order[step]].args) {
+      if (!t.is_var()) continue;
+      if (bound_at[t.var()] < 0) bound_at[t.var()] = step;
+      last[t.var()] = step;
+    }
+  }
+  for (const Comparison& c : q.comparisons()) {
+    int applied = 0;
+    for (Term t : {c.lhs, c.rhs}) {
+      if (t.is_var()) applied = std::max(applied, bound_at[t.var()]);
+    }
+    for (Term t : {c.lhs, c.rhs}) {
+      if (t.is_var()) last[t.var()] = std::max(last[t.var()], applied);
+    }
+  }
+  for (Term t : q.head().args) {
+    if (t.is_var()) last[t.var()] = static_cast<int>(order.size());
+  }
+  return last;
+}
+
+/// \brief Keeps one binding row per distinct assignment of the live
+/// variables: an open-addressing table of row ids over the flat rows,
+/// whose slots are reused from one join step to the next.
+class LiveRowDedup {
+ public:
+  /// Compacts the first `count` rows of `rows` (`width` values each) to
+  /// the first row of each distinct assignment of `live`, in order;
+  /// returns how many remain.
+  size_t Run(const std::vector<VarId>& live, size_t width, size_t count,
+             std::vector<Value>* rows) {
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * count) ++bits;
+    slots_.assign(size_t{1} << bits, kEmpty);
+    const size_t mask = slots_.size() - 1;
+    Value* data = rows->data();
+    size_t kept = 0;
+    for (size_t r = 0; r < count; ++r) {
+      const Value* row = data + r * width;
+      Fnv1a h;
+      for (VarId v : live) h.Mix(static_cast<uint64_t>(row[v]));
+      // FNV's multiply only carries entropy upward; fold the high half
+      // down before masking the low bits.
+      uint64_t mixed = h.hash();
+      mixed ^= mixed >> 32;
+      size_t slot = static_cast<size_t>(mixed) & mask;
+      bool seen = false;
+      while (slots_[slot] != kEmpty) {
+        const Value* other = data + slots_[slot] * width;
+        seen = std::all_of(live.begin(), live.end(),
+                           [&](VarId v) { return other[v] == row[v]; });
+        if (seen) break;
+        slot = (slot + 1) & mask;
+      }
+      if (seen) continue;
+      if (kept != r) std::copy(row, row + width, data + kept * width);
+      slots_[slot] = static_cast<uint32_t>(kept++);
+    }
+    return kept;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  std::vector<uint32_t> slots_;
+};
+
 }  // namespace
 
 Result<Relation> EvaluateQuery(const Query& q, const Database& db,
@@ -69,16 +143,34 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db,
   if (stats == nullptr) stats = &local_stats;
 
   std::vector<int> order = PlanAtomOrder(q, db);
+  std::vector<int> last_read = LastReadSteps(q, order);
   int nv = q.num_vars();
 
-  // Bindings: flat rows of nv values; unbound slots are don't-care (the
-  // bound mask advances statically with the plan).
+  // Bindings: flat rows of nv values; the slots of unbound and of dead
+  // variables are don't-care (both masks advance statically with the
+  // plan).
   std::vector<Value> bindings(static_cast<size_t>(nv), 0);
   size_t num_bindings = 1;
   if (nv == 0) bindings.clear();
 
   std::vector<bool> bound(nv, false);
   std::vector<bool> cmp_applied(q.comparisons().size(), false);
+  // Rows this call has emitted: the cap judges each call on its own.
+  uint64_t call_rows = 0;
+  std::vector<Value> next;
+  std::vector<VarId> live;
+  LiveRowDedup dedup;
+  // Per-step scratch, reused from one step to the next.
+  std::vector<int> key_positions;        // bound-variable arg positions
+  std::vector<VarId> key_vars;           // their variables
+  std::vector<std::pair<int, Value>> const_positions;
+  std::vector<std::pair<int, VarId>> new_positions;  // first occurrence
+  std::vector<std::pair<int, int>> dup_positions;    // (pos, earlier pos)
+  std::vector<int> first_pos_of_var;
+  std::vector<const Value*> cols;
+  std::vector<int> index_cols;
+  std::vector<VarId> probe_from_var;
+  std::vector<Value> probe;
 
   auto apply_ready_comparisons = [&](std::vector<Value>* rows,
                                      size_t* count) {
@@ -106,17 +198,18 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db,
     }
   };
 
-  for (int atom_index : order) {
-    const Atom& a = q.body()[atom_index];
+  for (int step = 0; step < static_cast<int>(order.size()); ++step) {
+    const Atom& a = q.body()[order[step]];
     const Relation* rel = db.Find(a.pred);
+    const size_t step_input = num_bindings;
 
     // Position classification under the current bound set.
-    std::vector<int> key_positions;        // bound-variable arg positions
-    std::vector<VarId> key_vars;           // their variables
-    std::vector<std::pair<int, Value>> const_positions;
-    std::vector<std::pair<int, VarId>> new_positions;  // first occurrence
-    std::vector<std::pair<int, int>> dup_positions;    // (pos, earlier pos)
-    std::vector<int> first_pos_of_var(nv, -1);
+    key_positions.clear();
+    key_vars.clear();
+    const_positions.clear();
+    new_positions.clear();
+    dup_positions.clear();
+    first_pos_of_var.assign(static_cast<size_t>(nv), -1);
     for (int i = 0; i < a.arity(); ++i) {
       Term t = a.args[i];
       if (t.is_const()) {
@@ -134,7 +227,7 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db,
 
     // Column pointers of the relation, fetched once per atom.
     size_t rel_rows = rel == nullptr ? 0 : rel->size();
-    std::vector<const Value*> cols;
+    cols.clear();
     if (rel != nullptr && rel->arity() > 0) {
       cols.resize(static_cast<size_t>(rel->arity()));
       for (int c = 0; c < rel->arity(); ++c) cols[c] = rel->ColumnData(c);
@@ -150,7 +243,6 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db,
       return true;
     };
 
-    std::vector<Value> next;
     size_t next_count = 0;
     // Emits the join of binding row `brow` with relation row `r`; false
     // on intermediate_row_cap overrun.
@@ -159,8 +251,7 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db,
       Value* out = next.data() + next_count * nv;
       for (auto [pos, var] : new_positions) out[var] = cols[pos][r];
       ++next_count;
-      return next_count + stats->intermediate_rows <=
-             options.intermediate_row_cap;
+      return call_rows + next_count <= options.intermediate_row_cap;
     };
     auto cap_error = [] {
       return Status::ResourceExhausted(
@@ -174,12 +265,11 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db,
       // lookups like p(X, 7) probe instead of scanning); only the
       // within-atom duplicate filter remains per matched row. Postings
       // hold ascending row ids, so rows are emitted in relation order.
-      std::vector<int> index_cols;
-      index_cols.reserve(key_positions.size() + const_positions.size());
       // probe_from_var[k] >= 0: key slot k reads that binding variable;
       // otherwise the slot holds a fixed constant preloaded below.
-      std::vector<VarId> probe_from_var;
-      std::vector<Value> probe;
+      index_cols.clear();
+      probe_from_var.clear();
+      probe.clear();
       {
         size_t ki = 0;
         size_t ci = 0;
@@ -246,12 +336,31 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db,
       }
     }
 
+    call_rows += next_count;
     stats->intermediate_rows += next_count;
-    bindings = std::move(next);
+    bindings.swap(next);
+    next.clear();
     num_bindings = next_count;
     for (auto [pos, var] : new_positions) bound[var] = true;
 
     apply_ready_comparisons(&bindings, &num_bindings);
+
+    // Project away the variables no later step reads. When one dies here
+    // and the step fanned out (left more rows than it was given), rows
+    // that differ only in dead variables are duplicates the next steps
+    // would multiply: keep one row per distinct assignment of the live
+    // ones. A step that did not fan out leaves its few duplicates to the
+    // next step that does, or to the final SortDedup.
+    if (num_bindings > step_input &&
+        std::find(last_read.begin(), last_read.end(), step) !=
+            last_read.end()) {
+      live.clear();
+      for (VarId v = 0; v < nv; ++v) {
+        if (bound[v] && last_read[v] > step) live.push_back(v);
+      }
+      num_bindings = dedup.Run(live, static_cast<size_t>(nv), num_bindings,
+                               &bindings);
+    }
     if (num_bindings == 0) break;
   }
 
@@ -263,6 +372,7 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db,
 
   // Project the head.
   Relation out(q.head().pred, q.head().arity());
+  out.Reserve(num_bindings);
   std::vector<Value> head_row(q.head().arity());
   for (size_t b = 0; b < num_bindings; ++b) {
     const Value* row = bindings.data() + b * nv;

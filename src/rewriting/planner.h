@@ -4,8 +4,11 @@
 /// (rewriting/engine.h), cost each candidate — and optionally the direct
 /// "no views" plan — under a bound-variable-aware left-deep join model,
 /// and pick the cheapest. The cost model simulates the evaluator's own
-/// greedy atom order (eval/evaluator.h), so estimated cost tracks the
-/// intermediate-row counts EvaluateQuery actually reports in EvalStats.
+/// greedy atom order (eval/evaluator.h) but keeps every variable to the
+/// last step, while the evaluator deduplicates bindings once variables
+/// die; an estimate is therefore an upper bound of the intermediate rows
+/// EvaluateQuery reports in EvalStats, and tests check only that the
+/// model orders plans as those counts do.
 
 #ifndef AQV_REWRITING_PLANNER_H_
 #define AQV_REWRITING_PLANNER_H_
@@ -62,8 +65,9 @@ struct ExtentStats {
 ///                                           values)
 ///
 /// where B covers bound variables, constants, and within-atom repeated
-/// variables. The cost is the sum of intermediate result sizes, the
-/// quantity EvalStats::intermediate_rows measures; with measured stats the
+/// variables. The cost is the sum of intermediate result sizes with every
+/// variable kept to the last step, an upper bound of the quantity
+/// EvalStats::intermediate_rows measures; with measured stats the
 /// estimate tracks skew the arity-ratio guess is blind to (a join through
 /// a 2-valued column fans out c/2, not c^(1/2)).
 double EstimatePlanCost(const Query& q, const ExtentStats& stats);

@@ -246,6 +246,49 @@ TEST_F(EvalTest, RowCapSurfaces) {
   EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST_F(EvalTest, UnionRowCapHoldsPerDisjunctWithOrWithoutStats) {
+  // Each disjunct emits 10 rows under a cap of 10. The cap judges each
+  // evaluation on its own rows, so collecting stats across the union
+  // must not turn the second disjunct into an overrun.
+  Query q = Parse("q(X, Y) :- r(X, Y).");
+  Database db(&cat_);
+  PredId r = cat_.FindPredicate("r").value();
+  for (int i = 0; i < 10; ++i) db.Add(r, {i, i + 1});
+  UnionQuery u;
+  u.disjuncts = {q, q};
+  EvalOptions opts;
+  opts.intermediate_row_cap = 10;
+
+  auto without_stats = EvaluateUnion(u, db, opts);
+  ASSERT_TRUE(without_stats.ok()) << without_stats.status().ToString();
+  EvalStats stats;
+  auto with_stats = EvaluateUnion(u, db, opts, &stats);
+  ASSERT_TRUE(with_stats.ok()) << with_stats.status().ToString();
+  EXPECT_EQ(with_stats.value().size(), 10u);
+  // The counter still sums over the union.
+  EXPECT_EQ(stats.intermediate_rows, 20u);
+}
+
+TEST_F(EvalTest, RowCapIgnoresRowsAlreadyInTheCallersStats) {
+  Query q = Parse("q(X, Y) :- r(X, Y).");
+  Database db(&cat_);
+  PredId r = cat_.FindPredicate("r").value();
+  for (int i = 0; i < 10; ++i) db.Add(r, {i, i + 1});
+  EvalOptions opts;
+  opts.intermediate_row_cap = 10;
+  EvalStats running;
+  running.intermediate_rows = 5;
+  auto out = EvaluateQuery(q, db, opts, &running);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(running.intermediate_rows, 15u);
+
+  // One call past the cap on its own still fails.
+  opts.intermediate_row_cap = 9;
+  auto over = EvaluateQuery(q, db, opts, &running);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+}
+
 TEST_F(EvalTest, MaterializeViewsProducesExtents) {
   ViewSet vs = ViewSet::Parse("v(X) :- e(X, Y), f(Y).", &cat_).value();
   Database db(&cat_);

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -193,10 +194,16 @@ std::vector<std::string> WithRepeatedRewrites(
 /// The first divergence any client hit, with everything shrinking and the
 /// repro dump need.
 struct FaultRecord {
-  int scenario_index = 0;
+  /// "scenario" (the randomized phase) or "tenant" (the isolation phase),
+  /// and which one.
+  std::string origin = "scenario";
+  int index = 0;
   std::vector<std::string> lines;
   Divergence divergence;
   bool injected = false;
+  /// Leading lines every shrink candidate and the repro keep (a tenant's
+  /// `auth`).
+  size_t pinned = 0;
 };
 
 std::string FirstLine(const std::string& text) {
@@ -210,15 +217,58 @@ void WriteRepro(const SoakConfig& cfg, const FaultRecord& fault,
   std::ofstream out(path);
   out << "% aqv soak divergence repro (ddmin-shrunk from "
       << fault.lines.size() << " to " << shrunk.size() << " commands)\n";
-  out << "% seed: " << cfg.seed << ", scenario: " << fault.scenario_index
-      << ", injected fault: " << (fault.injected ? "yes" : "no") << "\n";
+  out << "% seed: " << cfg.seed << ", " << fault.origin << ": "
+      << fault.index << ", injected fault: "
+      << (fault.injected ? "yes" : "no") << "\n";
   out << "% kind: " << fault.divergence.kind << "\n";
   out << "% command: " << fault.divergence.command << "\n";
   out << "% expected: " << FirstLine(fault.divergence.expected) << "\n";
   out << "% actual:   " << FirstLine(fault.divergence.actual) << "\n";
+  if (fault.pinned > 0) {
+    out << "% the first line authenticates with the soak's account-gated "
+           "server; drop it to replay in aqvsh\n";
+  }
   out << "% replay with: build/aqvsh " << path << "\n";
   for (const std::string& line : shrunk) out << line << "\n";
   if (shrunk.empty() || shrunk.back() != "quit") out << "quit\n";
+}
+
+/// Shrinks `fault`'s script against the live server on `port`, keeping
+/// its pinned lines in front of every candidate, and writes the repro
+/// under `cfg.repro_dir`.
+void ShrinkAndWriteRepro(const SoakConfig& cfg, int port,
+                         const FaultRecord& fault) {
+  std::printf("[soak] shrinking %zu-command script...\n",
+              fault.lines.size());
+  // Re-inject a recorded tamper during shrink so the self-test fault
+  // stays reproducible on every candidate replay.
+  TcpReplayOptions sopts;
+  if (fault.injected) sopts.tamper_match = fault.divergence.command;
+  const auto body_start = fault.lines.begin() +
+                          static_cast<std::ptrdiff_t>(fault.pinned);
+  auto with_pinned = [&](const std::vector<std::string>& body) {
+    std::vector<std::string> lines(fault.lines.begin(), body_start);
+    lines.insert(lines.end(), body.begin(), body.end());
+    return lines;
+  };
+  auto still_diverges = [&](const std::vector<std::string>& body) {
+    auto r = ReplayAndCheckOverTcp(port, with_pinned(body), sopts);
+    return r.ok() && r->divergence.has_value();
+  };
+  std::vector<std::string> body(body_start, fault.lines.end());
+  if (still_diverges(body)) {
+    body = ShrinkScript(std::move(body), still_diverges);
+  } else {
+    std::printf("[soak] divergence did not reproduce on re-replay; "
+                "dumping the unshrunk script\n");
+  }
+  std::vector<std::string> shrunk = with_pinned(body);
+  std::string path = cfg.repro_dir + "/repro-seed" +
+                     std::to_string(cfg.seed) + "-" + fault.origin[0] +
+                     std::to_string(fault.index) + ".aqv";
+  WriteRepro(cfg, fault, shrunk, path);
+  std::printf("[soak] repro (%zu command(s)) written to %s\n",
+              shrunk.size(), path.c_str());
 }
 
 /// The interleaved multi-tenant isolation phase: an account-gated server
@@ -228,7 +278,10 @@ void WriteRepro(const SoakConfig& cfg, const FaultRecord& fault,
 /// script inline on private state, so any cross-tenant leakage — another
 /// tenant's views or facts surfacing in a response — is a byte divergence.
 /// `auth` itself is answered at the server boundary and skipped by the
-/// mirror. Exit 0 = isolated, 1 = leakage/divergence, 2 = setup error.
+/// mirror. A divergence is reported with its own kind, and the first one
+/// is shrunk (the `auth` line kept first) into a repro like the
+/// randomized phase's. Exit 0 = isolated, 1 = leakage/divergence, 2 =
+/// setup error.
 int RunTenantIsolation(const SoakConfig& cfg) {
   ServerOptions options;
   std::vector<std::string> tokens;
@@ -251,6 +304,7 @@ int RunTenantIsolation(const SoakConfig& cfg) {
 
   std::mutex mu;
   std::vector<std::string> failures;
+  std::optional<FaultRecord> fault;
   std::atomic<long> commands{0};
   auto tenant_worker = [&](int t) {
     // A distinct small scenario per tenant, seeded disjointly from the
@@ -296,9 +350,17 @@ int RunTenantIsolation(const SoakConfig& cfg) {
     }
     commands.fetch_add(replay->commands_sent);
     if (replay->divergence.has_value()) {
-      failures.push_back("tenant " + std::to_string(t) +
-                         " DIVERGED (cross-tenant leakage?): " +
+      failures.push_back("tenant " + std::to_string(t) + " DIVERGED at " +
                          replay->divergence->ToString());
+      if (!fault.has_value()) {
+        FaultRecord record;
+        record.origin = "tenant";
+        record.index = t;
+        record.lines = std::move(lines);
+        record.divergence = *replay->divergence;
+        record.pinned = 1;
+        fault = std::move(record);
+      }
     }
   };
   // Two rounds: the second replays the same scripts through the by-then
@@ -321,13 +383,12 @@ int RunTenantIsolation(const SoakConfig& cfg) {
         "gate self-test: unauthenticated command was not refused");
   }
 
-  server.Stop();
-  if (!failures.empty()) {
-    for (const std::string& f : failures) {
-      std::fprintf(stderr, "[soak] tenant isolation: %s\n", f.c_str());
-    }
-    return 1;
+  for (const std::string& f : failures) {
+    std::fprintf(stderr, "[soak] tenant isolation: %s\n", f.c_str());
   }
+  if (fault.has_value()) ShrinkAndWriteRepro(cfg, server.port(), *fault);
+  server.Stop();
+  if (!failures.empty()) return 1;
   std::printf("[soak] tenant isolation OK: %ld command(s), no cross-tenant "
               "leakage\n",
               commands.load());
@@ -425,7 +486,7 @@ int Run(const SoakConfig& cfg) {
         std::lock_guard<std::mutex> lock(fault_mu);
         if (!fault.has_value()) {
           FaultRecord record;
-          record.scenario_index = index;
+          record.index = index;
           record.lines = std::move(lines);
           record.divergence = *replay->divergence;
           record.injected = ropts.tamper_at_answer >= 0;
@@ -457,29 +518,7 @@ int Run(const SoakConfig& cfg) {
   } else if (fault.has_value()) {
     std::printf("[soak] DIVERGENCE at %s\n",
                 fault->divergence.ToString().c_str());
-    std::printf("[soak] shrinking %zu-command script...\n",
-                fault->lines.size());
-    // Re-inject a recorded tamper during shrink so the self-test fault
-    // stays reproducible on every candidate replay.
-    TcpReplayOptions sopts;
-    if (fault->injected) sopts.tamper_match = fault->divergence.command;
-    auto still_diverges = [&](const std::vector<std::string>& candidate) {
-      auto r = ReplayAndCheckOverTcp(port, candidate, sopts);
-      return r.ok() && r->divergence.has_value();
-    };
-    std::vector<std::string> shrunk = fault->lines;
-    if (still_diverges(shrunk)) {
-      shrunk = ShrinkScript(std::move(shrunk), still_diverges);
-    } else {
-      std::printf("[soak] divergence did not reproduce on re-replay; "
-                  "dumping the unshrunk script\n");
-    }
-    std::string path = cfg.repro_dir + "/repro-seed" +
-                       std::to_string(cfg.seed) + "-s" +
-                       std::to_string(fault->scenario_index) + ".aqv";
-    WriteRepro(cfg, *fault, shrunk, path);
-    std::printf("[soak] repro (%zu command(s)) written to %s\n",
-                shrunk.size(), path.c_str());
+    ShrinkAndWriteRepro(cfg, port, *fault);
     exit_code = 1;
   }
 
