@@ -36,9 +36,7 @@ Result<AnswerRoute> AnswerRouteByName(std::string_view name) {
                           "'");
 }
 
-namespace {
-
-Status ValidateRequest(const AnswerRequest& request) {
+Status ValidateAnswerRequest(const AnswerRequest& request) {
   if (request.query.empty()) {
     return Status::InvalidArgument("AnswerRequest.query is empty");
   }
@@ -72,6 +70,8 @@ Status ValidateRequest(const AnswerRequest& request) {
   return Status::OK();
 }
 
+namespace {
+
 /// True when no body atom of `q` is a view predicate (the plan touches the
 /// base database only — the direct plan's shape).
 bool UsesNoViews(const Query& q, const ViewSet& views) {
@@ -101,7 +101,7 @@ Database MergeReferenced(const UnionQuery& u, const Database& extents,
 }  // namespace
 
 Result<AnswerResponse> AnswerQuery(const AnswerRequest& request) {
-  AQV_RETURN_NOT_OK(ValidateRequest(request));
+  AQV_RETURN_NOT_OK(ValidateAnswerRequest(request));
   AnswerResponse out;
   out.route = request.route;
   const Query& q0 = request.query.disjuncts[0];

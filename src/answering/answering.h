@@ -84,8 +84,9 @@ struct AnswerRequest {
   /// partial/direct plans under kCostBased; optional otherwise when
   /// `extents` is supplied.
   const Database* base = nullptr;
-  /// Pre-materialized view extents — the per-scenario extent cache. When
-  /// null, extents are materialized from `base` on demand.
+  /// Pre-materialized view extents (a Session passes the extents it holds
+  /// for its current problem). When null, extents are materialized from
+  /// `base` on demand.
   const Database* extents = nullptr;
   /// Engine registry name (kCompleteRewriting; EngineNames()).
   std::string engine = "minicon";
@@ -129,6 +130,11 @@ struct AnswerResponse {
   PlannerResult plans;
   AnswerStats stats;
 };
+
+/// The checks AnswerQuery makes before it materializes anything: a
+/// caller that materializes extents for a request itself runs them first,
+/// so a rejected request costs no materialization.
+[[nodiscard]] Status ValidateAnswerRequest(const AnswerRequest& request);
 
 /// \brief Runs the full answering pipeline for one request. See the \file
 /// comment; errors follow the usual codes (kInvalidArgument for

@@ -1,9 +1,6 @@
 #ifndef AQV_EVAL_DATALOG_H_
 #define AQV_EVAL_DATALOG_H_
 
-#include <vector>
-
-#include "cq/query.h"
 #include "eval/database.h"
 #include "eval/evaluator.h"
 #include "eval/value.h"
@@ -12,26 +9,16 @@
 
 namespace aqv {
 
-/// A positive datalog program: CQ-shaped rules with intensional heads.
-struct DatalogProgram {
-  std::vector<Query> rules;
-};
-
-/// \brief Naive-iteration fixpoint evaluation of a positive datalog program
-/// over `edb`. Each round evaluates every rule against the accumulated
-/// database and inserts new head tuples; stops when a round adds nothing.
-///
-/// Recursion is supported (rounds are bounded by `max_rounds` as a guard);
-/// the inverse-rules programs this library generates are non-recursive and
-/// converge in one round.
-[[nodiscard]] Result<Database> EvaluateDatalogProgram(const DatalogProgram& program,
-                                        const Database& edb,
-                                        const EvalOptions& options = {},
-                                        int max_rounds = 10'000);
-
 /// \brief Applies an inverse-rules program to view extents, reconstructing
 /// base-relation facts. Unknown values materialize as Skolem Values interned
 /// in `*skolems` (shared across rules so equal Skolem terms join).
+///
+/// One pass in rule order, each rule over its extent in row order: a
+/// derived relation holds its distinct rows in the order first derived,
+/// and Skolem terms are interned in the order their rows reach them. Each
+/// derived predicate's rows are kept row-major in one buffer and
+/// deduplicated through a table of row ids (util/id_table.h), so neither
+/// a row nor a Skolem lookup allocates a vector of its own.
 ///
 /// The result contains only the derived base relations; feed it to
 /// EvaluateQuery and drop Skolem-carrying rows for certain answers (see

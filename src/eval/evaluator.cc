@@ -5,6 +5,7 @@
 #include "eval/index.h"
 #include "eval/value.h"
 #include "util/hash.h"
+#include "util/id_table.h"
 
 namespace aqv {
 
@@ -89,8 +90,8 @@ std::vector<int> LastReadSteps(const Query& q, const std::vector<int>& order) {
 }
 
 /// \brief Keeps one binding row per distinct assignment of the live
-/// variables: an open-addressing table of row ids over the flat rows,
-/// whose slots are reused from one join step to the next.
+/// variables: a table of row ids over the flat rows, whose slots are
+/// reused from one join step to the next.
 class LiveRowDedup {
  public:
   /// Compacts the first `count` rows of `rows` (`width` values each) to
@@ -98,39 +99,32 @@ class LiveRowDedup {
   /// returns how many remain.
   size_t Run(const std::vector<VarId>& live, size_t width, size_t count,
              std::vector<Value>* rows) {
-    int bits = 4;
-    while ((size_t{1} << bits) < 2 * count) ++bits;
-    slots_.assign(size_t{1} << bits, kEmpty);
-    const size_t mask = slots_.size() - 1;
+    table_.Clear(count);
     Value* data = rows->data();
+    auto hash = [&](const Value* row) {
+      Fnv1a h;
+      for (VarId v : live) h.Mix(static_cast<uint64_t>(row[v]));
+      return h.hash();
+    };
     size_t kept = 0;
     for (size_t r = 0; r < count; ++r) {
       const Value* row = data + r * width;
-      Fnv1a h;
-      for (VarId v : live) h.Mix(static_cast<uint64_t>(row[v]));
-      // FNV's multiply only carries entropy upward; fold the high half
-      // down before masking the low bits.
-      uint64_t mixed = h.hash();
-      mixed ^= mixed >> 32;
-      size_t slot = static_cast<size_t>(mixed) & mask;
-      bool seen = false;
-      while (slots_[slot] != kEmpty) {
-        const Value* other = data + slots_[slot] * width;
-        seen = std::all_of(live.begin(), live.end(),
+      uint32_t earlier = table_.Find(hash(row), [&](uint32_t id) {
+        const Value* other = data + id * width;
+        return std::all_of(live.begin(), live.end(),
                            [&](VarId v) { return other[v] == row[v]; });
-        if (seen) break;
-        slot = (slot + 1) & mask;
-      }
-      if (seen) continue;
+      });
+      if (earlier != IdTable::kNone) continue;
       if (kept != r) std::copy(row, row + width, data + kept * width);
-      slots_[slot] = static_cast<uint32_t>(kept++);
+      table_.Insert(static_cast<uint32_t>(kept++), [&](uint32_t id) {
+        return hash(data + id * width);
+      });
     }
     return kept;
   }
 
  private:
-  static constexpr uint32_t kEmpty = UINT32_MAX;
-  std::vector<uint32_t> slots_;
+  IdTable table_;
 };
 
 }  // namespace
@@ -390,6 +384,8 @@ Result<Relation> EvaluateQuery(const Query& q, const Database& db,
 Result<Relation> EvaluateUnion(const UnionQuery& u, const Database& db,
                                const EvalOptions& options, EvalStats* stats) {
   if (u.empty()) return Status::InvalidArgument("empty union");
+  // One disjunct's answers are already deduplicated and sorted.
+  if (u.size() == 1) return EvaluateQuery(u.disjuncts[0], db, options, stats);
   Relation out(u.disjuncts[0].head().pred, u.disjuncts[0].head().arity());
   // Disjuncts share the database's cached relation indexes: the first
   // disjunct to touch a (relation, key-columns) pair builds, the rest hit

@@ -4,10 +4,10 @@
 /// variables first, then smallest relation) against a Database of
 /// columnar Relations; materialize.h computes view extents, certain.h
 /// implements the two LAV answering routes (union rewriting evaluation and
-/// inverse rules + datalog.h fixpoint with Skolem filtering). Join probes
+/// inverse rules applied by datalog.h, with Skolem filtering). Join probes
 /// go through persistent per-relation hash indexes (relation.h IndexOn) —
 /// built once per (relation, key-column-set), cached on the relation, and
-/// reused across the pipeline, view materialization, fixpoint rounds, and
+/// reused across the pipeline, view materialization, union disjuncts, and
 /// repeated answer calls. The pipeline carries only live variables: when
 /// a step that fans out is the last to read a variable, it keeps one
 /// binding row per distinct assignment of the variables still to be
@@ -50,7 +50,7 @@ struct EvalStats {
   /// Hash-index builds: misses of a relation's index cache.
   uint64_t index_builds = 0;
   /// Reuses of a relation's cached hash index — the counter that proves
-  /// sharing across union disjuncts, fixpoint rounds, and repeated calls.
+  /// sharing across union disjuncts and repeated calls.
   uint64_t index_hits = 0;
 };
 
@@ -87,7 +87,8 @@ struct EvalStats {
                                const EvalOptions& options = {},
                                EvalStats* stats = nullptr);
 
-/// Evaluates a union of CQs and dedups the combined result. Disjuncts
+/// Evaluates a union of CQs and dedups the combined result (a single
+/// disjunct's result is returned as EvaluateQuery gives it). Disjuncts
 /// share the relations' cached indexes (EvalStats::index_hits counts the
 /// reuse). Each disjunct is one EvaluateQuery call, so
 /// `options.intermediate_row_cap` bounds each disjunct's rows.

@@ -3,8 +3,8 @@
 /// HashIndex maps a key-column tuple to the (ascending) row ids holding
 /// it; Relation builds one per distinct join-key column set on first
 /// demand, caches it, and invalidates on mutation — so the join pipeline,
-/// MaterializeViews, datalog fixpoint iterations, and repeated `answer`
-/// commands all probe the same build instead of rebuilding per query.
+/// MaterializeViews, union disjuncts, and every `answer` over a session's
+/// held extents probe the same build instead of rebuilding per query.
 /// RelationStats carries the measured per-predicate numbers (cardinality,
 /// per-column distinct counts, numeric min/max) that replace the
 /// planner's uniform-domain fan-out guess.

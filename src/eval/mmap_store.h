@@ -12,8 +12,8 @@
 /// materializes every column into private heap vectors and drops this
 /// store's reference to the mapping (copy-on-write at store granularity —
 /// mutating one Relation copy never disturbs another). Clone() before any
-/// mutation shares the mapping, so the Database copies made by
-/// materialization and the datalog fixpoint stay O(1) in file bytes.
+/// mutation shares the mapping, so the relation copies in the merged
+/// database a partial rewriting evaluates over stay O(1) in file bytes.
 
 #ifndef AQV_EVAL_MMAP_STORE_H_
 #define AQV_EVAL_MMAP_STORE_H_

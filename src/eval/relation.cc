@@ -26,8 +26,8 @@ Relation::Relation(const Relation& other)
       sorted_(other.sorted_) {
   if (other.store_ != nullptr) store_ = other.store_->Clone();
   // Cached indexes and stats are immutable snapshots of the same rows, so
-  // the copy may share them (datalog's Database copy keeps its EDB
-  // relations' indexes warm across fixpoint rounds).
+  // the copy may share them (the merged database a partial rewriting
+  // evaluates over keeps its copied relations' indexes warm).
   std::lock_guard<std::mutex> lock(other.cache_mu_);
   indexes_ = other.indexes_;
   stats_ = other.stats_;

@@ -24,7 +24,7 @@ namespace aqv {
 ///
 ///   - hash indexes per join-key column set (`IndexOn`) — built once,
 ///     shared via shared_ptr across the join pipeline, MaterializeViews,
-///     datalog fixpoint rounds, and repeated `answer` commands;
+///     union disjuncts, relation copies, and repeated `answer` commands;
 ///   - measured statistics (`Measured`) — cardinality, per-column
 ///     distinct counts, and numeric min/max — feeding the planner's cost
 ///     model through ExtentStats::FromDatabase.

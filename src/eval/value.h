@@ -1,14 +1,14 @@
 #ifndef AQV_EVAL_VALUE_H_
 #define AQV_EVAL_VALUE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cq/catalog.h"
 #include "cq/term.h"
+#include "util/id_table.h"
 
 namespace aqv {
 
@@ -37,8 +37,12 @@ Value ValueOfConstant(const Catalog& catalog, ConstId id);
 
 /// \brief Interning table for ground Skolem terms f_i(v1..vk) produced by
 /// the inverse-rules engine. Each distinct application gets one Value in the
-/// Skolem range, so downstream joins treat unknown-but-equal values
-/// correctly.
+/// Skolem range, numbered in first-interned order, so downstream joins
+/// treat unknown-but-equal values correctly.
+///
+/// Storage is flat: every entry's arguments sit back to back in one arena,
+/// and an IdTable of entry ids indexes them, so interning allocates no
+/// key per lookup.
 class SkolemTable {
  public:
   struct Entry {
@@ -46,19 +50,26 @@ class SkolemTable {
     std::vector<Value> args;
   };
 
-  /// Returns the Value for f_fn(args), interning on first sight.
-  Value Intern(int fn, std::vector<Value> args);
-
-  /// Decodes a Skolem value. Precondition: IsSkolem(v).
-  const Entry& entry(Value v) const {
-    return entries_[static_cast<size_t>(kSkolemBase - v)];
+  /// Returns the Value for f_fn(args[0..n)), interning on first sight.
+  Value Intern(int fn, const Value* args, size_t n);
+  Value Intern(int fn, const std::vector<Value>& args) {
+    return Intern(fn, args.data(), args.size());
   }
 
-  size_t size() const { return entries_.size(); }
+  /// Decodes a Skolem value into a copy of its entry. Precondition:
+  /// IsSkolem(v) and v was interned here.
+  Entry entry(Value v) const;
+
+  size_t size() const { return fns_.size(); }
 
  private:
-  std::map<std::pair<int, std::vector<Value>>, Value> index_;
-  std::vector<Entry> entries_;
+  /// Entry ids keyed by (fn, args).
+  IdTable index_;
+  /// Per entry: its function, and where its arguments start in `args_`
+  /// (`starts_` has one more element, the arena's end).
+  std::vector<int> fns_;
+  std::vector<size_t> starts_ = {0};
+  std::vector<Value> args_;
 };
 
 /// Renders a value: numerics as digits, symbolics by constant name, Skolems

@@ -60,11 +60,15 @@ std::string FormatCost(double cost) {
 }
 
 /// Renders a relation's rows sorted and deduplicated, one "(v1, v2)" line
-/// each — the transcript-stable answer listing.
+/// each — the transcript-stable answer listing. Every answering route
+/// returns its relation sorted already.
 std::string SortedRows(const Relation& rel, const Catalog& catalog) {
-  Relation sorted = rel;
-  sorted.SortDedup();
-  std::string text = sorted.ToString(catalog);
+  if (!rel.sorted()) {
+    Relation sorted = rel;
+    sorted.SortDedup();
+    return SortedRows(sorted, catalog);
+  }
+  std::string text = rel.ToString(catalog);
   while (!text.empty() && text.back() == '\n') text.pop_back();
   return text;
 }
@@ -259,9 +263,12 @@ CommandResult Session::Execute(std::string_view line) {
     return Status::InvalidArgument("unknown command '" +
                                    std::string(parsed.word) + "' (try 'help')");
   }
-  // The memo's one invalidation point: the rows that can change the
-  // problem (a replayed journal passes here too).
-  if (parsed.command->refused_read_only) rewrite_memo_.clear();
+  // The one invalidation point of the memo and the extents: the rows that
+  // can change the problem (a replayed journal passes here too).
+  if (parsed.command->refused_read_only) {
+    rewrite_memo_.clear();
+    extents_.reset();
+  }
   CommandResult result =
       (this->*parsed.command->handler)(std::string(parsed.rest));
   // Autosave-on-mutation. A journal failure turns the result into an
@@ -323,6 +330,13 @@ const RewritePlanCache::Plan* Session::FindMemo(
     if (entry.engine == engine) return &entry.plan;
   }
   return nullptr;
+}
+
+Result<const Database*> Session::Extents() {
+  if (!extents_.has_value()) {
+    AQV_ASSIGN_OR_RETURN(extents_, MaterializeViews(views_, base_));
+  }
+  return &*extents_;
 }
 
 CommandResult Session::CmdHelp(const std::string&) {
@@ -626,6 +640,10 @@ CommandResult Session::CmdAnswer(const std::string& rest) {
   request.engine = engine;
   request.route = route;
   request.options = options_.engine;
+  if (route != AnswerRoute::kDirect) {
+    AQV_RETURN_NOT_OK(ValidateAnswerRequest(request));
+    AQV_ASSIGN_OR_RETURN(request.extents, Extents());
+  }
   AQV_ASSIGN_OR_RETURN(AnswerResponse response, AnswerQuery(request));
   last_rewrite_ = response.stats.rewrite;
   std::string out = "route " + std::string(AnswerRouteName(response.route));
@@ -643,14 +661,13 @@ CommandResult Session::CmdExplain(const std::string&) {
     return Status::InvalidArgument(
         "explain expects a single-CQ query (unions have no cost plan)");
   }
-  AQV_ASSIGN_OR_RETURN(Database extents,
-                       MaterializeViews(views_, base_));
+  AQV_ASSIGN_OR_RETURN(const Database* extents, Extents());
   PlannerOptions popts;
   popts.engine = options_.engine;
   AQV_ASSIGN_OR_RETURN(
       PlannerResult plans,
       ChooseBestPlan(query_->disjuncts[0], views_,
-                     ExtentStats::FromDatabase(extents),
+                     ExtentStats::FromDatabase(*extents),
                      ExtentStats::FromDatabase(base_), popts));
   last_rewrite_ = plans.stats;
   if (plans.plans.empty() || plans.best < 0) return Say("no executable plan");

@@ -129,8 +129,9 @@ class Session {
     /// is its only caller: it counts the command and journals it.
     CommandResult (Session::*handler)(const std::string& rest);
     /// A read-only server account is refused this command: it changes
-    /// the session's problem or its store. Execute drops the rewrite memo
-    /// before running it.
+    /// the session's problem or its store. Execute drops everything the
+    /// session derived from the problem (the rewrite memo and the held
+    /// view extents) before running it.
     bool refused_read_only;
     /// On success, Execute appends the line to the attached store's
     /// journal. (`reset` journals itself, before it detaches the store.)
@@ -251,6 +252,9 @@ class Session {
   /// The memo entry of `engine`, or nullptr.
   const RewritePlanCache::Plan* FindMemo(std::string_view engine) const;
 
+  /// The current problem's view extents, materialized on first use.
+  [[nodiscard]] Result<const Database*> Extents();
+
   /// One `rewrite` payload rendered for the current problem.
   struct MemoEntry {
     std::string engine;
@@ -265,11 +269,18 @@ class Session {
   /// Search counters of the session's most recent engine call (`show
   /// stats` surfaces them).
   RewriteStats last_rewrite_;
-  /// The successful `rewrite` payloads of the current problem, at most one
-  /// per engine. Execute clears it before every command the table marks
-  /// `refused_read_only`: those are the commands that can change the
-  /// problem.
+  // What the session derived from its current problem. Execute drops both
+  // before every command the table marks `refused_read_only`: those are
+  // the commands that can change the problem, and that one point is their
+  // only invalidation.
+  /// The successful `rewrite` payloads, at most one per engine.
   std::vector<MemoEntry> rewrite_memo_;
+  /// The view extents over base_, with the hash indexes and measured
+  /// statistics their relations cache: materialized by the first
+  /// view-based `answer` (complete, cost, inverse-rules) or `explain`,
+  /// then read by every later one. They point into *catalog_, which
+  /// `reset` and `open` replace after the drop.
+  std::optional<Database> extents_;
   uint64_t commands_ = 0;
   int load_depth_ = 0;
   /// The attached database store (save/open). Owns the directory lock

@@ -758,6 +758,95 @@ TEST(SessionMemoTest, EngineErrorIsNotMemoized) {
   EXPECT_EQ(plan_cache.stats().hits, 0u);
 }
 
+// --- the held view extents ---------------------------------------------
+
+TEST(SessionExtentsTest, EveryProblemChangeDropsTheExtents) {
+  // Each command the table marks as changing the problem, between two
+  // rounds of view-based answers on one session. The ground truth is a
+  // fresh session that replays the same script without the first round,
+  // so it materializes the extents only after the change. `DIR` stands for
+  // each session's own store directory, `FILE` for a script holding one
+  // fact.
+  const std::string script = testing::TempDir() + "/aqv_extents_fact_" +
+                             std::to_string(::getpid()) + ".aqv";
+  {
+    std::ofstream out(script);
+    out << "fact checked(3).\n";
+  }
+  struct Case {
+    std::vector<std::string> prefix;
+    std::vector<std::string> change;
+    /// The change alters the problem's answers, so extents held across it
+    /// would answer wrongly.
+    bool answers_change;
+  };
+  const std::vector<Case> cases = {
+      {{}, {"view e(X, Y) :- edge(X, Y)."}, true},
+      {{}, {"fact checked(3)."}, true},
+      {{}, {"query p1(X) :- edge(X, Y), checked(Y)."}, true},
+      {{},
+       {"reset", "view a(X, Y) :- p(X, Y), p(Y, X).",
+        "query r(X) :- p(X, Y), p(Y, X).", "fact p(1, 2).", "fact p(2, 1)."},
+       true},
+      // The store journals the `fact`; `open` recovers the saved problem
+      // and replays it into a new catalog.
+      {{"save DIR", "fact checked(3)."}, {"open DIR"}, false},
+      {{"save DIR", "reset", "view a(X) :- p(X, X).", "query r(X) :- p(X, X).",
+        "fact p(4, 4)."},
+       {"open DIR"},
+       true},
+      {{}, {"load FILE"}, true},
+      {{}, {"view broken("}, false},
+      // A union query: the cost route refuses it before materializing.
+      {{},
+       {"query q(X, Z) :- edge(X, Y), checked(Y), edge(Y, Z). "
+        "q(X, Z) :- edge(X, Z)."},
+       true},
+  };
+  const std::vector<std::string> probes = {
+      "answer route complete with minicon", "answer route inverse-rules",
+      "answer route cost", "explain"};
+  for (const Case& c : cases) {
+    ScratchDir held_dir("held"), fresh_dir("fresh");
+    auto in = [&](const std::string& line, const ScratchDir& dir) {
+      std::string out = line;
+      for (auto [word, path] : {std::pair<std::string, std::string>{
+                                    "DIR", dir.path()},
+                                {"FILE", script}}) {
+        size_t at = out.find(word);
+        if (at != std::string::npos) out.replace(at, word.size(), path);
+      }
+      return out;
+    };
+    std::string label = c.change.front();
+    Session held, fresh;
+    for (auto [session, dir] :
+         {std::pair{&held, &held_dir}, std::pair{&fresh, &fresh_dir}}) {
+      LoadToyProblem(*session);
+      for (const std::string& line : c.prefix) {
+        ASSERT_TRUE(session->Execute(in(line, *dir)).ok()) << line;
+      }
+    }
+    std::vector<std::string> before;
+    for (const std::string& probe : probes) {
+      before.push_back(RenderWireResponse(held.Execute(probe)));
+    }
+    for (const std::string& line : c.change) {
+      EXPECT_EQ(RenderWireResponse(held.Execute(in(line, held_dir))),
+                RenderWireResponse(fresh.Execute(in(line, fresh_dir))))
+          << line;
+    }
+    bool changed = false;
+    for (size_t i = 0; i < probes.size(); ++i) {
+      std::string after = RenderWireResponse(held.Execute(probes[i]));
+      EXPECT_EQ(after, RenderWireResponse(fresh.Execute(probes[i])))
+          << label << " | " << probes[i];
+      changed = changed || after != before[i];
+    }
+    EXPECT_EQ(changed, c.answers_change) << label;
+  }
+}
+
 TEST(ReplayTest, ScriptFromScenarioRoundTrips) {
   for (const std::string& name : ScenarioNames()) {
     Scenario scenario =
