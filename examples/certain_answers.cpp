@@ -14,6 +14,7 @@
 #include "eval/datalog.h"
 #include "rewriting/inverse_rules.h"
 #include "rewriting/minicon.h"
+#include "testing/reference.h"
 
 using namespace aqv;
 

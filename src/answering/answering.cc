@@ -2,8 +2,10 @@
 
 #include <utility>
 
+#include "containment/containment.h"
 #include "eval/materialize.h"
 #include "rewriting/inverse_rules.h"
+#include "views/expansion.h"
 
 namespace aqv {
 
@@ -98,6 +100,34 @@ Database MergeReferenced(const UnionQuery& u, const Database& extents,
   return merged;
 }
 
+/// The index of the first disjunct of `rewritings` whose expansion
+/// contains the query, or -1 when no check shows one. A check that runs
+/// out of budget, or meets a case the containment test does not decide,
+/// shows nothing; any other error propagates.
+Result<int> FirstEquivalentDisjunct(const AnswerRequest& request,
+                                    const UnionQuery& rewritings) {
+  ContainmentOptions options = request.options.containment;
+  options.oracle = request.options.oracle;
+  for (size_t i = 0; i < rewritings.disjuncts.size(); ++i) {
+    AQV_ASSIGN_OR_RETURN(
+        ExpansionResult expansion,
+        ExpandRewriting(rewritings.disjuncts[i], *request.views));
+    if (!expansion.satisfiable) continue;
+    Result<bool> contains =
+        UnionIsContainedIn(request.query, expansion.query, options);
+    if (!contains.ok()) {
+      StatusCode code = contains.status().code();
+      if (code == StatusCode::kResourceExhausted ||
+          code == StatusCode::kUnimplemented) {
+        continue;
+      }
+      return contains.status();
+    }
+    if (*contains) return static_cast<int>(i);
+  }
+  return -1;
+}
+
 }  // namespace
 
 Result<AnswerResponse> AnswerQuery(const AnswerRequest& request) {
@@ -142,24 +172,35 @@ Result<AnswerResponse> AnswerQuery(const AnswerRequest& request) {
       for (const Query& d : out.executed.disjuncts) {
         if (!UsesOnlyViews(d, *request.views)) out.complete = false;
       }
-      if (out.complete) {
-        AQV_ASSIGN_OR_RETURN(
-            out.result, EvaluateRewritingUnion(q0, out.executed, *extents,
-                                               request.eval,
-                                               &out.stats.eval));
-      } else if (request.base != nullptr) {
-        // Partial rewritings (allow_base_atoms) read base relations too.
-        Database merged =
-            MergeReferenced(out.executed, *extents, *request.base);
-        AQV_ASSIGN_OR_RETURN(
-            out.result, EvaluateRewritingUnion(q0, out.executed, merged,
-                                               request.eval,
-                                               &out.stats.eval));
-      } else {
+      if (!out.complete && request.base == nullptr) {
         return Status::InvalidArgument(
             "engine '" + request.engine +
             "' produced a partial rewriting (base atoms), which needs the "
             "base database; this request supplied only view extents");
+      }
+      // Over exact extents a disjunct whose expansion contains q returns
+      // all of q(D) by itself, and every other disjunct is contained in q
+      // (see AnswerRequest::extents): evaluate that one alone.
+      AQV_ASSIGN_OR_RETURN(int equivalent,
+                           FirstEquivalentDisjunct(request, out.executed));
+      UnionQuery alone;
+      const UnionQuery* evaluated = &out.executed;
+      if (equivalent >= 0) {
+        alone.disjuncts.push_back(out.executed.disjuncts[equivalent]);
+        evaluated = &alone;
+      }
+      if (out.complete) {
+        AQV_ASSIGN_OR_RETURN(
+            out.result, EvaluateRewritingUnion(q0, *evaluated, *extents,
+                                               request.eval,
+                                               &out.stats.eval));
+      } else {
+        // Partial rewritings (allow_base_atoms) read base relations too.
+        Database merged = MergeReferenced(*evaluated, *extents, *request.base);
+        AQV_ASSIGN_OR_RETURN(
+            out.result, EvaluateRewritingUnion(q0, *evaluated, merged,
+                                               request.eval,
+                                               &out.stats.eval));
       }
       return out;
     }

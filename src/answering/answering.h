@@ -15,15 +15,24 @@
 ///   kDirect             q over the base database — ground truth, needs
 ///                       the base.
 ///   kCompleteRewriting  the named engine's rewriting union over view
-///                       extents. For bucket/minicon this evaluates the
-///                       maximally-contained rewriting: the certain
-///                       answers under sound views. For lmss/ucq it
-///                       evaluates equivalent rewritings (exact answers)
-///                       when one exists, else an empty union — which is
-///                       still sound (the empty set of certain answers).
+///                       extents. For minicon this is the maximally-
+///                       contained rewriting: the certain answers under
+///                       sound views. Bucket's union is sound but not
+///                       always maximal, so its answers can fall short of
+///                       the certain answers. For lmss/ucq it evaluates
+///                       equivalent rewritings (exact answers) when one
+///                       exists, else an empty union — which is still
+///                       sound (the empty set of certain answers).
 ///                       Partial rewritings (allow_base_atoms) evaluate
 ///                       over extents merged with the base relations they
 ///                       read, and require the base to be supplied.
+///                       The route evaluates the first disjunct whose
+///                       expansion contains q on its own, and the whole
+///                       union only when no disjunct's does. Over exact
+///                       extents (AnswerRequest::extents) that disjunct r
+///                       gives r(extents) = expansion(r)(D) ⊇ q(D), and
+///                       every disjunct is contained in q, so the rows are
+///                       the union's.
 ///   kInverseRules       certain answers by inverting the views into a
 ///                       Skolem datalog program — engine-independent; the
 ///                       route-equivalence oracle for the union route.
@@ -34,7 +43,9 @@
 ///
 /// When an equivalent rewriting exists and extents are materialized
 /// exactly from the base, all four routes return the same relation — the
-/// invariant tests/test_answering.cc holds every engine to.
+/// invariant tests/test_answering.cc holds every engine to. Without one,
+/// tests/test_certain.cc holds minicon's complete route and inverse rules
+/// to an independent chase of the extents (testing/reference.h).
 
 #ifndef AQV_ANSWERING_ANSWERING_H_
 #define AQV_ANSWERING_ANSWERING_H_
@@ -86,7 +97,12 @@ struct AnswerRequest {
   const Database* base = nullptr;
   /// Pre-materialized view extents (a Session passes the extents it holds
   /// for its current problem). When null, extents are materialized from
-  /// `base` on demand.
+  /// `base` on demand. Contract: the extents are exactly
+  /// MaterializeViews(*views, D) for some database D (`base` when it is
+  /// supplied). The complete route relies on it to evaluate one
+  /// equivalent disjunct in place of the whole union; over extents that
+  /// merely contain the views' answers (independent sources), that would
+  /// drop certain answers.
   const Database* extents = nullptr;
   /// Engine registry name (kCompleteRewriting; EngineNames()).
   std::string engine = "minicon";
@@ -101,7 +117,9 @@ struct AnswerStats {
   /// Materializing extents from the base (zeros when cached extents were
   /// supplied).
   EvalStats materialize;
-  /// Executing the chosen plan / rewriting / datalog program.
+  /// Executing the chosen plan / rewriting / datalog program. On the
+  /// complete route: the one equivalent disjunct evaluated, or the whole
+  /// union when none was shown equivalent.
   EvalStats eval;
   /// The rewriting search (kCompleteRewriting: the named engine;
   /// kCostBased: aggregate across all engines consulted).
@@ -115,9 +133,10 @@ struct AnswerResponse {
   AnswerRoute route = AnswerRoute::kCompleteRewriting;
   /// Engine echo (empty for kDirect / kInverseRules).
   std::string engine;
-  /// What was actually evaluated: the rewriting union (complete route),
-  /// the winning plan (cost route), or the query itself (direct). Empty
-  /// for kInverseRules, whose program is not a UCQ.
+  /// What was executed for: the engine's whole rewriting union (complete
+  /// route, even when one equivalent disjunct was evaluated for it), the
+  /// winning plan (cost route), or the query itself (direct). Empty for
+  /// kInverseRules, whose program is not a UCQ.
   UnionQuery executed;
   /// True when `executed` reads only view extents.
   bool complete = false;

@@ -1,8 +1,6 @@
 #ifndef AQV_EVAL_CERTAIN_H_
 #define AQV_EVAL_CERTAIN_H_
 
-#include <cstdint>
-
 #include "cq/query.h"
 #include "eval/database.h"
 #include "eval/evaluator.h"
@@ -45,30 +43,6 @@ namespace aqv {
                                                const Database& view_extents,
                                                const EvalOptions& options = {},
                                                EvalStats* stats = nullptr);
-
-/// Options for the brute-force possible-world enumerator.
-struct WorldEnumOptions {
-  /// Fresh constants added to the universe beyond the extents' active
-  /// domain (unknown values may be outside it).
-  int extra_constants = 1;
-  /// Cap on candidate tuples in the world lattice (2^tuples worlds).
-  int max_world_tuples = 22;
-  EvalOptions eval;
-};
-
-/// \brief Reference implementation of certain answers by exhaustive
-/// enumeration: intersect q(D) over every database D, built from base-
-/// predicate tuples over a finite universe, that is *consistent* with the
-/// extents (every view's result over D contains its extent — sound views).
-///
-/// The universe is the extents' active domain plus `extra_constants` fresh
-/// values; this finite-universe semantics coincides with true open-world
-/// certain answers whenever enough fresh values are provided for the views'
-/// existential variables (the tiny cross-check instances in the tests).
-/// Exponential; guarded by max_world_tuples.
-[[nodiscard]] Result<Relation> BruteForceCertainAnswers(const Query& q, const ViewSet& views,
-                                          const Database& view_extents,
-                                          const WorldEnumOptions& options = {});
 
 }  // namespace aqv
 

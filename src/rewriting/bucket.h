@@ -55,10 +55,14 @@ struct BucketResult {
 /// checked in turn. The probe is skipped when one entry's unfolding alone
 /// cannot map into q.
 ///
-/// The union of kept rewritings is the maximally-contained rewriting of q
-/// using `views` (comparison-free case). Comparisons on q are carried into
-/// each candidate and handled by the comparison-aware containment test —
-/// sound, with the linearization-cap caveat.
+/// Every kept rewriting is contained in q, but the union is not always the
+/// maximally-contained rewriting, even without comparisons: on some
+/// generated problems it returns fewer answers than the certain answers
+/// (MiniCon's union and inverse rules return all of them). The cause is
+/// not established; the cap of 16 enrichments per combination is one
+/// candidate. Comparisons on q are carried into each candidate and
+/// handled by the comparison-aware containment test — sound, with the
+/// linearization-cap caveat.
 [[nodiscard]] Result<BucketResult> BucketRewrite(const Query& q, const ViewSet& views,
                                    const BucketOptions& options = {});
 

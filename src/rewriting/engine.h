@@ -72,8 +72,9 @@ struct RewriteResponse {
   /// LMSS / UCQ: an equivalent rewriting exists. Bucket with
   /// require_equivalent: at least one equivalent disjunct was kept.
   bool equivalent_exists = false;
-  /// The rewriting union: maximally-contained disjuncts (Bucket, MiniCon)
-  /// or equivalent witnesses (LMSS, UCQ; valid when equivalent_exists).
+  /// The rewriting union: contained disjuncts (Bucket, MiniCon; MiniCon's
+  /// union is maximal, Bucket's not always) or equivalent witnesses (LMSS,
+  /// UCQ; valid when equivalent_exists).
   UnionQuery rewritings;
   /// First witness, for decision-style callers (LMSS / UCQ).
   std::optional<Query> witness;

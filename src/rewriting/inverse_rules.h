@@ -56,7 +56,7 @@ struct InverseRule {
 ///
 /// Evaluating the query over the reconstructed facts and discarding
 /// Skolem-carrying answers yields exactly the certain answers — the same
-/// maximally-contained semantics Bucket/MiniCon unions compute, traded
+/// maximally-contained semantics MiniCon's union computes, traded
 /// differently: rule construction is linear-time here, with the cost pushed
 /// to evaluation.
 struct InverseRuleSet {

@@ -52,6 +52,28 @@ Result<std::string> FreshRewrite(const Session& session,
   return RenderWireResponse(fresh);
 }
 
+/// True when a `(certain)` answer on the session's current problem must
+/// equal the direct rows: neither the query nor any view has a
+/// comparison, and lmss finds an equivalent view-only rewriting r. The
+/// extents are views(base) exactly, and every possible world D' has
+/// q(D') = r(views(D')) ⊇ r(views(base)) = q(base), so the certain
+/// answers are q(base). A failed lmss run shows nothing.
+bool CertainMustEqualDirect(const Session& session) {
+  for (const Query& d : session.query()->disjuncts) {
+    if (!d.comparisons().empty()) return false;
+  }
+  for (const View& v : session.views().views()) {
+    if (!v.definition.comparisons().empty()) return false;
+  }
+  RewriteRequest request;
+  request.query = *session.query();
+  request.views = &session.views();
+  request.options = session.options().engine;
+  request.options.lmss.allow_base_atoms = false;
+  Result<RewriteResponse> lmss = RunEngine("lmss", request);
+  return lmss.ok() && lmss->equivalent_exists;
+}
+
 std::string JoinLines(const std::vector<std::string>& lines) {
   std::string out;
   for (const std::string& line : lines) {
@@ -197,11 +219,20 @@ std::optional<Divergence> MirrorChecker::Check(const std::string& command,
   } else {
     // "(certain)" claims soundness: every row is a certain answer, hence
     // present in q(base).
+    ++certain_checked_;
     std::set<std::string> truth(direct->begin(), direct->end());
     for (const std::string& row : parsed->rows) {
       if (truth.count(row) == 0) {
         return diverge("certain-not-subset", JoinLines(*direct),
                        "unsound row: " + row);
+      }
+    }
+    // And completeness, where the certain answers are known to be q(base).
+    if (CertainMustEqualDirect(session_)) {
+      ++certain_held_equal_;
+      if (parsed->rows != *direct) {
+        return diverge("certain-incomplete", JoinLines(*direct),
+                       JoinLines(parsed->rows));
       }
     }
   }
@@ -287,6 +318,8 @@ Result<TcpReplayResult> ReplayAndCheckOverTcp(
   result.answers_checked = checker.answers_checked();
   result.rewrites_checked = checker.rewrites_checked();
   result.rewrites_rederived = checker.rewrites_rederived();
+  result.certain_checked = checker.certain_checked();
+  result.certain_held_equal = checker.certain_held_equal();
   ::close(fd);
   AQV_RETURN_NOT_OK(transport);
   return result;

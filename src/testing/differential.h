@@ -15,7 +15,11 @@
 /// response is semantically cross-checked against ground truth computed
 /// on the mirror's own state via the direct route: `(exact)` responses
 /// must equal the direct relation, `(certain)` responses must be a subset
-/// of it (answering/answering.h route semantics). A `rewrite` the mirror
+/// of it (answering/answering.h route semantics). A `(certain)` response
+/// must also equal it when neither the query nor any view has a
+/// comparison and lmss finds an equivalent rewriting of the mirror's
+/// current problem: the extents are exactly views(base), so the certain
+/// answers are then exactly q(base). A `rewrite` the mirror
 /// answers from its memo is also re-derived by running the engine on the
 /// mirror's current problem: the mirror memoizes with the server's code,
 /// so a missed memo invalidation would otherwise go stale on both sides
@@ -53,10 +57,12 @@ struct Divergence {
   /// What kind of disagreement: "wire-mismatch" (byte compare),
   /// "exact-mismatch" (`(exact)` answer != direct route),
   /// "certain-not-subset" (`(certain)` answer has a row the direct route
-  /// lacks), or "malformed-answer" (an ok `answer` payload that does not
-  /// parse as the transcript grammar), or "stale-rewrite" (a `rewrite`
-  /// answered from the memo differs from a fresh engine run on the
-  /// mirror's current problem).
+  /// lacks), "certain-incomplete" (a `(certain)` answer differs from the
+  /// direct route on a comparison-free problem where lmss finds an
+  /// equivalent rewriting), "malformed-answer" (an ok `answer` payload
+  /// that does not parse as the transcript grammar), or "stale-rewrite"
+  /// (a `rewrite` answered from the memo differs from a fresh engine run
+  /// on the mirror's current problem).
   std::string kind;
   /// What the mirror / ground truth expected.
   std::string expected;
@@ -119,6 +125,10 @@ class MirrorChecker {
   uint64_t rewrites_checked() const { return rewrites_checked_; }
   /// Memo-answered rewrites checked against a fresh engine run.
   uint64_t rewrites_rederived() const { return rewrites_rederived_; }
+  /// `(certain)` answers checked, and how many of them were held to
+  /// equality with the direct route.
+  uint64_t certain_checked() const { return certain_checked_; }
+  uint64_t certain_held_equal() const { return certain_held_equal_; }
 
  private:
   /// The mirror's own single-shard oracle. Declaration order vs the
@@ -131,6 +141,8 @@ class MirrorChecker {
   uint64_t answers_checked_ = 0;
   uint64_t rewrites_checked_ = 0;
   uint64_t rewrites_rederived_ = 0;
+  uint64_t certain_checked_ = 0;
+  uint64_t certain_held_equal_ = 0;
 };
 
 /// \brief Tampers one answer response in place for harness self-tests:
@@ -162,6 +174,8 @@ struct TcpReplayResult {
   uint64_t answers_checked = 0;
   uint64_t rewrites_checked = 0;
   uint64_t rewrites_rederived = 0;
+  uint64_t certain_checked = 0;
+  uint64_t certain_held_equal = 0;
 };
 
 /// \brief Replays `lines` over a real TCP connection to a FrontendServer

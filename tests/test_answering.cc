@@ -3,7 +3,10 @@
 /// route (any engine), the inverse-rules route, and the cost-planned route
 /// must all return exactly the direct evaluation of the query over the
 /// hidden base database — LMSS95's answering semantics meeting
-/// Duschka-Genesereth's, with the pipeline as the integration point.
+/// Duschka-Genesereth's, with the pipeline as the integration point. Over
+/// exact extents the complete route evaluates the first disjunct whose
+/// expansion contains the query on its own, and the whole union only when
+/// none does; its evaluation counters show which it ran.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +17,13 @@
 #include <vector>
 
 #include "answering/answering.h"
+#include "containment/containment.h"
 #include "cq/parser.h"
+#include "eval/certain.h"
 #include "eval/materialize.h"
 #include "service/service.h"
 #include "util/rng.h"
+#include "views/expansion.h"
 #include "workload/datagen.h"
 #include "workload/generator.h"
 #include "workload/generators.h"
@@ -245,37 +251,189 @@ TEST(Answering, CachedExtentsSkipMaterialization) {
       Relation::SameSet(lav.value().result, from_base.value().result));
 }
 
-TEST(Answering, CompleteRouteProjectsExistentialViewColumns) {
-  // An answer_cold-shaped problem whose MiniCon union has many disjuncts
-  // over views with existential columns, such as
-  //   q(X0, X3) :- v25(X0, X1, F4), v27(X1, F5, F6, X2),
-  //                v12(X2, F7, F8, X3).
-  // Carrying every variable to the last join step emitted 6,937,917
-  // intermediate rows for the union; keeping only live variables emits
-  // a few hundred thousand. The certain answers are the direct route's
-  // rows either way.
+/// answer_cold's shape on scenario seed 289: a MiniCon union of a few
+/// hundred disjuncts over views with existential columns.
+Scenario Seed289Scenario() {
   GeneratedScenarioSpec spec;
   spec.seed = 289;
   spec.num_views = 60;
   spec.facts_per_predicate = 60;
   spec.domain_size = 100;
   auto scenario = GenerateScenario(spec);
-  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
-  AnswerRequest request =
-      BaseRequest(scenario->query, scenario->views, scenario->base);
+  EXPECT_TRUE(scenario.ok()) << scenario.status().ToString();
+  return std::move(scenario).value();
+}
 
-  request.route = AnswerRoute::kDirect;
-  auto direct = AnswerQuery(request);
-  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-  EXPECT_EQ(direct->result.size(), 264u);
+/// The index of the first disjunct of `u` whose expansion contains `q`,
+/// or -1.
+int FirstEquivalentDisjunct(const Query& q, const UnionQuery& u,
+                            const ViewSet& views) {
+  for (size_t i = 0; i < u.disjuncts.size(); ++i) {
+    auto expansion = ExpandRewriting(u.disjuncts[i], views);
+    EXPECT_TRUE(expansion.ok()) << expansion.status().ToString();
+    if (!expansion.ok() || !expansion->satisfiable) continue;
+    auto contains = IsContainedIn(q, expansion->query);
+    EXPECT_TRUE(contains.ok()) << contains.status().ToString();
+    if (contains.ok() && *contains) return static_cast<int>(i);
+  }
+  return -1;
+}
 
+/// `u` evaluated over `extents` on its own, with its EvalStats.
+EvalStats UnionWork(const Query& q, const UnionQuery& u,
+                    const Database& extents, Relation* rows = nullptr) {
+  EvalStats stats;
+  auto result = EvaluateRewritingUnion(q, u, extents, {}, &stats);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (rows != nullptr && result.ok()) *rows = std::move(result).value();
+  return stats;
+}
+
+/// The same evaluation work. Whether an index lookup builds or hits
+/// depends on what ran on the extents before, so only their sum counts.
+void ExpectSameWork(const EvalStats& got, const EvalStats& want) {
+  EXPECT_EQ(got.intermediate_rows, want.intermediate_rows);
+  EXPECT_EQ(got.probes, want.probes);
+  EXPECT_EQ(got.index_builds + got.index_hits,
+            want.index_builds + want.index_hits);
+}
+
+TEST(Answering, CompleteRouteProjectsExistentialViewColumns) {
+  // Seed 289's union has disjuncts such as
+  //   q(X0, X3) :- v25(X0, X1, F4), v27(X1, F5, F6, X2),
+  //                v12(X2, F7, F8, X3).
+  // Carrying every variable to the last join step emitted 6,937,917
+  // intermediate rows for the union; keeping only live variables emits
+  // a few hundred thousand. The certain answers are the direct route's
+  // rows either way.
+  Scenario s = Seed289Scenario();
+  Relation direct = EvaluateQuery(s.query, s.base).value();
+  EXPECT_EQ(direct.size(), 264u);
+  Database extents = MaterializeViews(s.views, s.base).value();
+  RewriteRequest rewrite;
+  rewrite.query.disjuncts.push_back(s.query);
+  rewrite.views = &s.views;
+  auto minicon = RunEngine("minicon", rewrite);
+  ASSERT_TRUE(minicon.ok()) << minicon.status().ToString();
+  EXPECT_GT(minicon->rewritings.size(), 100);
+
+  Relation rows;
+  EvalStats stats = UnionWork(s.query, minicon->rewritings, extents, &rows);
+  EXPECT_TRUE(Relation::SameSet(direct, rows));
+  EXPECT_LT(stats.intermediate_rows, 1'000'000u);
+}
+
+TEST(Answering, CompleteRouteEvaluatesTheFirstEquivalentDisjunctAlone) {
+  // Over exact extents, a disjunct whose expansion contains q returns all
+  // of q(D) by itself: the complete route evaluates that one and still
+  // reports the whole union it executes for.
+  Scenario s = Seed289Scenario();
+  Database extents = MaterializeViews(s.views, s.base).value();
+  AnswerRequest request = BaseRequest(s.query, s.views, s.base);
+  request.extents = &extents;
   request.route = AnswerRoute::kCompleteRewriting;
   request.engine = "minicon";
   auto complete = AnswerQuery(request);
   ASSERT_TRUE(complete.ok()) << complete.status().ToString();
+
+  RewriteRequest rewrite;
+  rewrite.query = request.query;
+  rewrite.views = &s.views;
+  auto minicon = RunEngine("minicon", rewrite);
+  ASSERT_TRUE(minicon.ok()) << minicon.status().ToString();
+  ASSERT_EQ(complete->executed.size(), minicon->rewritings.size());
   EXPECT_GT(complete->executed.size(), 100);
-  EXPECT_TRUE(Relation::SameSet(direct->result, complete->result));
-  EXPECT_LT(complete->stats.eval.intermediate_rows, 1'000'000u);
+  for (int i = 0; i < complete->executed.size(); ++i) {
+    EXPECT_EQ(complete->executed.disjuncts[i].ToString(),
+              minicon->rewritings.disjuncts[i].ToString());
+  }
+  EXPECT_FALSE(complete->exact);  // minicon reports no equivalence
+
+  int first = FirstEquivalentDisjunct(s.query, complete->executed, s.views);
+  ASSERT_GE(first, 0);
+  UnionQuery alone;
+  alone.disjuncts.push_back(complete->executed.disjuncts[first]);
+  ExpectSameWork(complete->stats.eval, UnionWork(s.query, alone, extents));
+  EXPECT_TRUE(Relation::SameSet(complete->result,
+                                EvaluateQuery(s.query, s.base).value()));
+}
+
+TEST(Answering, CompleteRouteEvaluatesTheWholeUnionWithoutAnEquivalent) {
+  // va and vb each restrict the join further, and ve exposes no f: no
+  // disjunct is equivalent, and each contributes rows of its own.
+  Catalog cat;
+  Query q = ParseQuery("q(X, Z) :- e(X, Y), f(Y, Z).", &cat).value();
+  ViewSet views = ViewSet::Parse(
+                      "va(A, C) :- e(A, B), f(B, C), g(A).\n"
+                      "vb(A, C) :- e(A, B), f(B, C), h(C).\n"
+                      "ve(A) :- e(A, B).",
+                      &cat)
+                      .value();
+  Database base(&cat);
+  PredId e = cat.FindPredicate("e").value();
+  PredId f = cat.FindPredicate("f").value();
+  base.Add(e, {1, 2});
+  base.Add(e, {3, 4});
+  base.Add(f, {2, 5});
+  base.Add(f, {4, 6});
+  base.Add(cat.FindPredicate("g").value(), {1});
+  base.Add(cat.FindPredicate("h").value(), {6});
+  Database extents = MaterializeViews(views, base).value();
+
+  AnswerRequest request = BaseRequest(q, views, base);
+  request.extents = &extents;
+  request.route = AnswerRoute::kCompleteRewriting;
+  request.engine = "minicon";
+  auto complete = AnswerQuery(request);
+  ASSERT_TRUE(complete.ok()) << complete.status().ToString();
+  ASSERT_EQ(complete->executed.size(), 2);
+  EXPECT_EQ(FirstEquivalentDisjunct(q, complete->executed, views), -1);
+  Relation rows;
+  ExpectSameWork(complete->stats.eval,
+                 UnionWork(q, complete->executed, extents, &rows));
+  EXPECT_TRUE(Relation::SameSet(complete->result, rows));
+  EXPECT_EQ(complete->result.size(), 2u);  // (1, 5) and (3, 6)
+}
+
+TEST(Answering, CompleteRouteUsesAnEquivalentDisjunctUnderComparisons) {
+  // With comparisons the containment test is the linearization one.
+  // MiniCon lists vlow(X, Z), which restricts X further and is only
+  // contained, before the equivalent vr-vs join: the route walks past the
+  // first disjunct and evaluates the second alone.
+  Catalog cat;
+  Query q = ParseQuery("q(X, Z) :- r(X, Y), s(Y, Z), X < Z.", &cat).value();
+  ViewSet views = ViewSet::Parse(
+                      "vlow(A, C) :- r(A, B), s(B, C), A < C, A < 5.\n"
+                      "vr(A, B) :- r(A, B).\n"
+                      "vs(B, C) :- s(B, C).",
+                      &cat)
+                      .value();
+  Database base(&cat);
+  PredId r = cat.FindPredicate("r").value();
+  PredId s = cat.FindPredicate("s").value();
+  base.Add(r, {1, 2});
+  base.Add(r, {3, 4});
+  base.Add(r, {6, 1});
+  base.Add(s, {2, 5});
+  base.Add(s, {4, 1});
+  base.Add(s, {1, 9});
+  Database extents = MaterializeViews(views, base).value();
+
+  AnswerRequest request = BaseRequest(q, views, base);
+  request.extents = &extents;
+  request.route = AnswerRoute::kCompleteRewriting;
+  request.engine = "minicon";
+  auto complete = AnswerQuery(request);
+  ASSERT_TRUE(complete.ok()) << complete.status().ToString();
+  ASSERT_EQ(complete->executed.size(), 2);
+  int first = FirstEquivalentDisjunct(q, complete->executed, views);
+  ASSERT_EQ(first, 1);
+  UnionQuery alone;
+  alone.disjuncts.push_back(complete->executed.disjuncts[first]);
+  ExpectSameWork(complete->stats.eval, UnionWork(q, alone, extents));
+  Relation direct = EvaluateQuery(q, base).value();
+  EXPECT_EQ(direct.size(), 2u);  // (1, 5) and (6, 9)
+  EXPECT_TRUE(Relation::SameSet(complete->result, direct));
 }
 
 TEST(Answering, CostRouteReportsPlansAndPicksCheapest) {

@@ -102,6 +102,10 @@ TEST(DifferentialTest, HonestResponsesProduceNoDivergence) {
   }
   EXPECT_EQ(checker.answers_checked(), 3u);
   EXPECT_EQ(checker.rewrites_checked(), 1u);
+  // inverse-rules answers `(certain)`; lmss finds no equivalent rewriting
+  // of this query, so the answer is held to the subset check only.
+  EXPECT_EQ(checker.certain_checked(), 1u);
+  EXPECT_EQ(checker.certain_held_equal(), 0u);
 }
 
 /// Rewrites repeated between mutations: every repeat is answered from the
@@ -258,6 +262,10 @@ TEST(DifferentialTest, TcpReplayOfGeneratedSoakScriptIsClean) {
             static_cast<uint64_t>(script->answer_probes));
   EXPECT_EQ(result->rewrites_checked,
             static_cast<uint64_t>(script->rewrite_probes));
+  // The generator guarantees an equivalent rewriting, so every `(certain)`
+  // answer is held equal to direct.
+  EXPECT_GT(result->certain_checked, 0u);
+  EXPECT_EQ(result->certain_held_equal, result->certain_checked);
   server.Stop();
 }
 

@@ -1,7 +1,7 @@
-/// Property tests for the evaluator against an independent reference: a
-/// naive nested-loop evaluator written from the definition of a CQ's
-/// answer (backtrack over the body atoms, check every comparison on the
-/// full binding, project the head, deduplicate). Across generated
+/// Property tests for the evaluator against an independent reference: the
+/// naive nested-loop evaluator of testing/reference.h, written from the
+/// definition of a CQ's answer (backtrack over the body atoms, check every
+/// comparison on the full binding, project the head, deduplicate). Across generated
 /// scenarios, hand-written queries with constants, repeated variables and
 /// comparisons, and randomized small queries, EvaluateQuery and
 /// MaterializeViews must return exactly the reference's rows. Queries
@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "eval/evaluator.h"
 #include "eval/materialize.h"
 #include "eval/value.h"
+#include "testing/reference.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 #include "workload/scenarios.h"
@@ -35,87 +35,8 @@ namespace {
 
 using Row = std::vector<Value>;
 
-/// The reference's comparison semantics, as eval/value.h defines them:
-/// `<`/`<=` hold only between plain numeric values, `=`/`!=` compare raw
-/// values.
-bool ReferenceCmp(CmpOp op, Value a, Value b) {
-  bool numeric = IsPlainNumeric(a) && IsPlainNumeric(b);
-  switch (op) {
-    case CmpOp::kEq:
-      return a == b;
-    case CmpOp::kNe:
-      return a != b;
-    case CmpOp::kLt:
-      return numeric && a < b;
-    case CmpOp::kLe:
-      return numeric && a <= b;
-  }
-  return false;
-}
-
-/// Naive nested-loop evaluation: every body atom in written order matches
-/// every row of its relation, binding variables on first use; comparisons
-/// are checked once every variable is bound; the head is projected into a
-/// set, so rows come out sorted and deduplicated.
-class NestedLoopReference {
- public:
-  NestedLoopReference(const Query& q, const Database& db)
-      : q_(q), db_(db), binding_(static_cast<size_t>(q.num_vars())) {}
-
-  std::set<Row> Run() {
-    Match(0);
-    return std::move(out_);
-  }
-
- private:
-  Value ValueOf(Term t) const {
-    if (t.is_const()) return ValueOfConstant(*q_.catalog(), t.constant());
-    return *binding_[static_cast<size_t>(t.var())];
-  }
-
-  void Match(size_t atom) {
-    if (atom == q_.body().size()) {
-      for (const Comparison& c : q_.comparisons()) {
-        if (!ReferenceCmp(c.op, ValueOf(c.lhs), ValueOf(c.rhs))) return;
-      }
-      Row head;
-      for (Term t : q_.head().args) head.push_back(ValueOf(t));
-      out_.insert(std::move(head));
-      return;
-    }
-    const Atom& a = q_.body()[atom];
-    const Relation* rel = db_.Find(a.pred);
-    if (rel == nullptr) return;
-    for (size_t r = 0; r < rel->size(); ++r) {
-      std::vector<VarId> bound_here;
-      bool matches = true;
-      for (int i = 0; i < a.arity() && matches; ++i) {
-        Value v = rel->at(r, i);
-        Term t = a.args[i];
-        if (t.is_const()) {
-          matches = ValueOfConstant(*q_.catalog(), t.constant()) == v;
-        } else if (std::optional<Value>& slot =
-                       binding_[static_cast<size_t>(t.var())];
-                   slot.has_value()) {
-          matches = *slot == v;
-        } else {
-          slot = v;
-          bound_here.push_back(t.var());
-        }
-      }
-      if (matches) Match(atom + 1);
-      for (VarId v : bound_here) binding_[static_cast<size_t>(v)].reset();
-    }
-  }
-
-  const Query& q_;
-  const Database& db_;
-  std::vector<std::optional<Value>> binding_;
-  std::set<Row> out_;
-};
-
 std::vector<Row> Reference(const Query& q, const Database& db) {
-  std::set<Row> rows = NestedLoopReference(q, db).Run();
+  std::set<Row> rows = NestedLoopEvaluate(q, db);
   return {rows.begin(), rows.end()};
 }
 
@@ -145,7 +66,7 @@ void ExpectExtentsMatchReference(const ViewSet& views, const Database& base) {
   ASSERT_TRUE(extents.ok()) << extents.status().ToString();
   std::map<PredId, std::set<Row>> expected;
   for (const View& v : views.views()) {
-    std::set<Row> rows = NestedLoopReference(v.definition, base).Run();
+    std::set<Row> rows = NestedLoopEvaluate(v.definition, base);
     expected[v.pred].insert(rows.begin(), rows.end());
   }
   for (const auto& [pred, rows] : expected) {
@@ -490,8 +411,8 @@ TEST(EvalProperties, UnionDisjunctsShareCachedIndexes) {
   EXPECT_GE(stats.index_hits, 1u) << "no index sharing across disjuncts";
 
   // And the shared-index union is the union of the reference's rows.
-  std::set<Row> expected = NestedLoopReference(d1, db).Run();
-  std::set<Row> second = NestedLoopReference(d2, db).Run();
+  std::set<Row> expected = NestedLoopEvaluate(d1, db);
+  std::set<Row> second = NestedLoopEvaluate(d2, db);
   expected.insert(second.begin(), second.end());
   EXPECT_EQ(SortedRows(*got), std::vector<Row>(expected.begin(), expected.end()));
 }

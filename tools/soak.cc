@@ -16,7 +16,9 @@
 /// (--tenants N) precedes the soak: authenticated tenants interleave
 /// their own scenarios on one account-gated server, and any cross-tenant
 /// leakage diverges from the mirror. Exit code 0 = clean soak, 1 =
-/// divergence (repro written), 2 = usage/setup error.
+/// divergence (repro written), 2 = usage/setup error, or `(certain)`
+/// answers were checked but none was held equal to direct (the
+/// completeness check never ran).
 ///
 /// The harness self-test: `--inject-fault-at K` tampers the K-th answer
 /// response of the first scenario in flight, as if the server had
@@ -424,6 +426,8 @@ int Run(const SoakConfig& cfg) {
   std::atomic<long> total_answers{0};
   std::atomic<long> total_rewrites{0};
   std::atomic<long> total_rederived{0};
+  std::atomic<long> total_certain{0};
+  std::atomic<long> total_certain_equal{0};
   std::atomic<bool> stop{false};
   std::mutex fault_mu;
   std::optional<FaultRecord> fault;
@@ -481,6 +485,9 @@ int Run(const SoakConfig& cfg) {
       total_rewrites.fetch_add(static_cast<long>(replay->rewrites_checked));
       total_rederived.fetch_add(
           static_cast<long>(replay->rewrites_rederived));
+      total_certain.fetch_add(static_cast<long>(replay->certain_checked));
+      total_certain_equal.fetch_add(
+          static_cast<long>(replay->certain_held_equal));
       int done = scenarios_done.fetch_add(1) + 1;
       if (replay->divergence.has_value()) {
         std::lock_guard<std::mutex> lock(fault_mu);
@@ -497,8 +504,10 @@ int Run(const SoakConfig& cfg) {
       }
       if (done % 10 == 0 || done == cfg.scenarios) {
         std::printf("[soak] %d scenario(s), %ld command(s), %ld answer "
-                    "check(s), %ld rewrite check(s), %ld re-derived\n",
+                    "check(s) (%ld certain, %ld held equal to direct), "
+                    "%ld rewrite check(s), %ld re-derived\n",
                     done, total_commands.load(), total_answers.load(),
+                    total_certain.load(), total_certain_equal.load(),
                     total_rewrites.load(), total_rederived.load());
       }
     }
@@ -521,6 +530,16 @@ int Run(const SoakConfig& cfg) {
     ShrinkAndWriteRepro(cfg, port, *fault);
     exit_code = 1;
   }
+  if (exit_code == 0 && total_certain.load() > 0 &&
+      total_certain_equal.load() == 0) {
+    // Every `(certain)` answer met only the subset check: a run that
+    // drops certain rows would have passed it.
+    std::fprintf(stderr,
+                 "[soak] error: %ld (certain) answer(s) checked, none held "
+                 "equal to direct; the completeness check did not run\n",
+                 total_certain.load());
+    exit_code = 2;
+  }
 
   PlanCacheStats plans = server.plan_cache().stats();
   std::printf("[soak] shared plan cache: hits=%llu misses=%llu "
@@ -530,9 +549,11 @@ int Run(const SoakConfig& cfg) {
               plans.hit_rate());
   server.Stop();
   std::printf("[soak] done: %d scenario(s), %ld command(s), %ld answer "
-              "check(s), %ld rewrite check(s), %ld re-derived, %s\n",
+              "check(s) (%ld certain, %ld held equal to direct), %ld "
+              "rewrite check(s), %ld re-derived, %s\n",
               scenarios_done.load(), total_commands.load(),
-              total_answers.load(), total_rewrites.load(),
+              total_answers.load(), total_certain.load(),
+              total_certain_equal.load(), total_rewrites.load(),
               total_rederived.load(),
               exit_code == 0 ? "no divergence"
                              : (exit_code == 1 ? "DIVERGENCE" : "ERROR"));
