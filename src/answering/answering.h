@@ -6,7 +6,7 @@
 /// extents), and produces the answer *relation*, not just a rewriting:
 /// it materializes/caches view extents (eval/materialize.h), obtains a
 /// rewriting from any registered engine by name (rewriting/engine.h) or a
-/// cost-ranked plan across all of them (rewriting/planner.h), executes
+/// cost-ranked plan over LMSS's rewritings (rewriting/planner.h), executes
 /// the winner with the hash-join evaluator (eval/evaluator.h), and also
 /// exposes the inverse-rules certain-answer route (eval/certain.h) behind
 /// the same request/response API.
@@ -36,10 +36,9 @@
 ///   kInverseRules       certain answers by inverting the views into a
 ///                       Skolem datalog program — engine-independent; the
 ///                       route-equivalence oracle for the union route.
-///   kCostBased          ChooseBestPlan across the registered engines
+///   kCostBased          ChooseBestPlan over LMSS's equivalent rewritings
 ///                       plus the direct plan, executing the cheapest
-///                       (exact answers; plans are equivalent rewritings;
-///                       see PlannerOptions::engines for the default list).
+///                       (exact answers).
 ///
 /// When an equivalent rewriting exists and extents are materialized
 /// exactly from the base, all four routes return the same relation — the
@@ -122,7 +121,7 @@ struct AnswerStats {
   /// union when none was shown equivalent.
   EvalStats eval;
   /// The rewriting search (kCompleteRewriting: the named engine;
-  /// kCostBased: aggregate across all engines consulted).
+  /// kCostBased: the planner's LMSS search).
   RewriteStats rewrite;
 };
 

@@ -95,7 +95,6 @@ std::string EngineOptionsDigest(const EngineOptions& o) {
   add(o.lmss.allow_base_atoms);
   add(o.lmss.allow_trivial);
   add(o.bucket.max_combinations);
-  add(o.bucket.require_equivalent);
   add(o.minicon.max_combinations);
   return d;
 }

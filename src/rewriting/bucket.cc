@@ -138,12 +138,11 @@ enum class Verdict { kUnbuildable, kFailed, kPassed };
 /// induced equalities are unioned over q's variables, and the expansion is
 /// written into reused atom buffers from the unfoldings under those
 /// classes, its variables numbered by first appearance as ExpandRewriting
-/// numbers them. The containment mappings are searched on those spans
+/// numbers them. The containment mapping is searched on those spans
 /// directly, so an attached ContainmentOracle does not see these checks.
 class UnfoldedCheck {
  public:
-  UnfoldedCheck(const Query& q, const BucketOptions& options)
-      : q_(q), options_(options) {
+  UnfoldedCheck(const Query& q, const BucketOptions& options) : q_(q) {
     hopts_.node_budget = options.containment.node_budget;
   }
 
@@ -200,15 +199,11 @@ class UnfoldedCheck {
       if (t.is_var() && !in_body_[t.var()]) return Verdict::kUnbuildable;
     }
 
-    // IsContainedIn's comparison-free decision, both ways as needed.
+    // IsContainedIn's comparison-free decision.
     const AtomSpan query = AtomSpan::Of(q_);
     const AtomSpan expansion{&head_, body_.data(), body_size, num_vars};
     AQV_ASSIGN_OR_RETURN(bool contained,
                          FindHomomorphism(query, expansion, hopts_));
-    if (contained && options_.require_equivalent) {
-      AQV_ASSIGN_OR_RETURN(contained,
-                           FindHomomorphism(expansion, query, hopts_));
-    }
     return contained ? Verdict::kPassed : Verdict::kFailed;
   }
 
@@ -234,7 +229,6 @@ class UnfoldedCheck {
   }
 
   const Query& q_;
-  const BucketOptions& options_;
   HomSearchOptions hopts_;
   std::vector<int> parent_;  // union-find over q's variables
   std::vector<std::optional<Term>> pinned_;
@@ -309,9 +303,7 @@ Result<BucketResult> BucketRewrite(const Query& q, const ViewSet& views,
         ExpansionCheck check,
         BuildAndVerify(q, views, cand_picks,
                        /*include_comparisons=*/q.has_comparisons(),
-                       options.require_equivalent ? VerifyLevel::kEquivalent
-                                                  : VerifyLevel::kContained,
-                       options.containment));
+                       VerifyLevel::kContained, options.containment));
     if (!check.rewriting.has_value()) return false;
     ++result.candidates_checked;
     if (!check.passed) return false;

@@ -21,17 +21,13 @@ struct BucketOptions {
   /// BucketRewrite fails with ResourceExhausted after unfolding the
   /// entries and before enumerating any combination.
   uint64_t max_combinations = 5'000'000;
-
-  /// Keep only rewritings whose expansion is *equivalent* to q, not merely
-  /// contained in it (the LMSS notion instead of maximal containment).
-  bool require_equivalent = false;
 };
 
 /// Outcome of the Bucket algorithm.
 struct BucketResult {
   /// buckets[i] holds the candidate view atoms for q's i-th subgoal.
   std::vector<std::vector<ViewAtomCandidate>> buckets;
-  /// Contained (or equivalent, per options) conjunctive rewritings.
+  /// Conjunctive rewritings contained in q.
   UnionQuery rewritings;
   /// Cartesian-product combinations enumerated.
   uint64_t combinations_enumerated = 0;

@@ -71,7 +71,6 @@ class LmssEngine : public RewritingEngine {
     RewriteResponse out;
     out.engine = name();
     out.equivalent_exists = r.exists;
-    if (!r.rewritings.empty()) out.witness = r.rewritings.front();
     out.rewritings.disjuncts = std::move(r.rewritings);
     out.minimized.disjuncts.push_back(std::move(r.minimized_query));
     out.stats.num_candidates = r.num_candidates;
@@ -97,10 +96,7 @@ class BucketEngine : public RewritingEngine {
         BucketRewrite(request.query.disjuncts[0], *request.views, opts));
     RewriteResponse out;
     out.engine = name();
-    out.equivalent_exists =
-        opts.require_equivalent && !r.rewritings.empty();
     out.rewritings = std::move(r.rewritings);
-    if (out.equivalent_exists) out.witness = out.rewritings.disjuncts.front();
     for (const auto& bucket : r.buckets) {
       out.stats.num_candidates += bucket.size();
     }
@@ -152,9 +148,6 @@ class UcqEngine : public RewritingEngine {
     out.engine = name();
     out.equivalent_exists = r.exists;
     out.rewritings = std::move(r.rewritings);
-    if (r.exists && !out.rewritings.empty()) {
-      out.witness = out.rewritings.disjuncts.front();
-    }
     out.minimized = std::move(r.minimized);
     out.stats.num_candidates = r.num_candidates;
     out.stats.combinations = r.subsets_tested;

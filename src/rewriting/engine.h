@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,15 +68,13 @@ struct RewriteStats {
 struct RewriteResponse {
   /// The engine that produced this response.
   std::string engine;
-  /// LMSS / UCQ: an equivalent rewriting exists. Bucket with
-  /// require_equivalent: at least one equivalent disjunct was kept.
+  /// LMSS / UCQ: an equivalent rewriting exists. Always false for Bucket
+  /// and MiniCon, whose disjuncts are only contained in the query.
   bool equivalent_exists = false;
   /// The rewriting union: contained disjuncts (Bucket, MiniCon; MiniCon's
   /// union is maximal, Bucket's not always) or equivalent witnesses (LMSS,
   /// UCQ; valid when equivalent_exists).
   UnionQuery rewritings;
-  /// First witness, for decision-style callers (LMSS / UCQ).
-  std::optional<Query> witness;
   /// The minimized input the search ran against (engines that minimize).
   UnionQuery minimized;
   RewriteStats stats;

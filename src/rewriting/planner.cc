@@ -5,10 +5,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "containment/containment.h"
-#include "rewriting/pipeline.h"
-#include "views/expansion.h"
-
 namespace aqv {
 
 ExtentStats ExtentStats::FromDatabase(const Database& db) {
@@ -83,16 +79,11 @@ double MeasuredFanout(double card, const std::vector<uint64_t>& distinct,
   return fanout;
 }
 
-void Accumulate(OracleStats* into, const OracleStats& delta) {
-  into->hits += delta.hits;
-  into->misses += delta.misses;
-  into->inserts += delta.inserts;
-  into->capacity_rejects += delta.capacity_rejects;
-  into->confirm_failures += delta.confirm_failures;
-}
+/// Rewritings lmss enumerates and the planner costs.
+constexpr int kMaxPlans = 64;
 
-/// Budget and size overruns degrade planning to the engines that finished;
-/// anything else is a caller or library bug and must surface.
+/// Budget and size overruns leave only the direct plan; anything else is a
+/// caller or library bug and must surface.
 bool IsSkippableEngineFailure(const Status& status) {
   return status.code() == StatusCode::kResourceExhausted ||
          status.code() == StatusCode::kUnimplemented;
@@ -149,18 +140,6 @@ Result<PlannerResult> ChooseBestPlan(const Query& q, const ViewSet& views,
                                      const ExtentStats& view_stats,
                                      const ExtentStats& base_stats,
                                      const PlannerOptions& options) {
-  PlannerResult result;
-  // Default engine list: every registered engine except "ucq" — the
-  // planner always submits a singleton query, for which the ucq engine
-  // reduces to the lmss search already run, producing only duplicates for
-  // the deduper to discard. Callers can still request it explicitly.
-  std::vector<std::string> engines = options.engines;
-  if (engines.empty()) {
-    for (const std::string& name : EngineNames()) {
-      if (name != "ucq") engines.push_back(name);
-    }
-  }
-
   // Partial rewritings read views and base relations; merge the stats
   // with view extents taking precedence.
   ExtentStats merged = base_stats;
@@ -171,59 +150,24 @@ Result<PlannerResult> ChooseBestPlan(const Query& q, const ViewSet& views,
     merged.column_distinct[pred] = distinct;
   }
 
-  ContainmentOptions copts = options.engine.containment;
-  copts.oracle = options.engine.oracle;
-  QueryDeduper deduper;
+  RewriteRequest request;
+  request.query.disjuncts.push_back(q);
+  request.views = &views;
+  request.options = options.engine;
+  request.options.lmss.max_rewritings = kMaxPlans;
+  Result<RewriteResponse> lmss = RunEngine("lmss", request);
+  if (!lmss.ok() && !IsSkippableEngineFailure(lmss.status())) {
+    return lmss.status();
+  }
 
+  PlannerResult result;
   Query minimized = q;
-  bool have_minimized = false;
-
-  for (const std::string& name : engines) {
-    if (static_cast<int>(result.plans.size()) >= options.max_plans) break;
-    RewriteRequest request;
-    request.query.disjuncts.push_back(q);
-    request.views = &views;
-    request.options = options.engine;
-    request.options.lmss.max_rewritings = options.max_plans;
-    // Only exact plans: a merely-contained rewriting does not answer q.
-    request.options.bucket.require_equivalent = true;
-    Result<RewriteResponse> run = RunEngine(name, request);
-    if (!run.ok()) {
-      if (IsSkippableEngineFailure(run.status())) continue;
-      return run.status();
-    }
-    RewriteResponse resp = std::move(run).value();
-    result.stats.num_candidates += resp.stats.num_candidates;
-    result.stats.combinations += resp.stats.combinations;
-    result.stats.checks += resp.stats.checks;
-    Accumulate(&result.stats.oracle, resp.stats.oracle);
-    if (!have_minimized && !resp.minimized.empty()) {
-      minimized = resp.minimized.disjuncts[0];
-      have_minimized = true;
-    }
-
-    // Equivalence guarantee per engine: lmss/ucq witnesses only when the
-    // decision succeeded; bucket ran with require_equivalent; minicon
-    // disjuncts are contained and need the reverse direction confirmed.
-    if ((name == "lmss" || name == "ucq") && !resp.equivalent_exists) {
-      continue;
-    }
-    bool must_verify = name != "lmss" && name != "ucq" && name != "bucket";
-    for (Query& rw : resp.rewritings.disjuncts) {
-      if (static_cast<int>(result.plans.size()) >= options.max_plans) break;
-      if (must_verify) {
-        AQV_ASSIGN_OR_RETURN(ExpansionResult ex, ExpandRewriting(rw, views));
-        if (!ex.satisfiable) continue;
-        Result<bool> equivalent = AreEquivalent(q, ex.query, copts);
-        if (!equivalent.ok()) {
-          if (IsSkippableEngineFailure(equivalent.status())) continue;
-          return equivalent.status();
-        }
-        if (!equivalent.value()) continue;
-      }
-      if (!deduper.Insert(rw)) continue;
+  if (lmss.ok()) {
+    result.stats = lmss->stats;
+    minimized = std::move(lmss->minimized.disjuncts.front());
+    for (Query& rw : lmss->rewritings.disjuncts) {
       PlanChoice plan;
-      plan.engine = name;
+      plan.engine = "lmss";
       plan.complete = UsesOnlyViews(rw, views);
       plan.estimated_cost = EstimatePlanCost(rw, merged);
       plan.rewriting = std::move(rw);

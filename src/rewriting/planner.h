@@ -1,12 +1,15 @@
 /// \file
-/// Cost-based plan selection over the rewriting-engine registry: enumerate
-/// equivalent rewritings of a query from every registered engine
-/// (rewriting/engine.h), cost each candidate — and optionally the direct
-/// "no views" plan — under a bound-variable-aware left-deep join model,
-/// and pick the cheapest. The cost model simulates the evaluator's own
-/// greedy atom order (eval/evaluator.h) but keeps every variable to the
-/// last step, while the evaluator deduplicates bindings once variables
-/// die; an estimate is therefore an upper bound of the intermediate rows
+/// Cost-based plan selection: enumerate equivalent rewritings of a query
+/// with the LMSS search (rewriting/lmss.h), cost each candidate — and
+/// optionally the direct "no views" plan — under a bound-variable-aware
+/// left-deep join model, and pick the cheapest. LMSS alone suffices: every
+/// minimal equivalent rewriting is isomorphic to a subset of its candidate
+/// pool, so Bucket and MiniCon could add only duplicates or non-minimal
+/// plans; tests/test_planner.cc holds the planner to an all-engine
+/// reference. The cost model simulates the evaluator's own greedy atom
+/// order (eval/evaluator.h) but keeps every variable to the last step,
+/// while the evaluator deduplicates bindings once variables die; an
+/// estimate is therefore an upper bound of the intermediate rows
 /// EvaluateQuery reports in EvalStats, and tests check only that the
 /// model orders plans as those counts do.
 
@@ -78,25 +81,15 @@ struct PlanChoice {
   double estimated_cost = 0;
   /// True when every body atom is a view predicate.
   bool complete = false;
-  /// Registry name of the engine that produced this rewriting, or
-  /// "direct" for the no-views plan.
+  /// "lmss" for a rewriting, or "direct" for the no-views plan.
   std::string engine;
 };
 
 /// Options for plan selection.
 struct PlannerOptions {
-  /// Engines consulted for equivalent rewritings, by registry name
-  /// (EngineNames()); empty means every registered engine except "ucq",
-  /// which on the planner's singleton queries only repeats the lmss
-  /// search (request it explicitly to include it anyway).
-  std::vector<std::string> engines;
-  /// Options (oracle, budgets, per-strategy knobs) handed to each engine.
-  /// Strategy limits that bound the enumeration (lmss.max_rewritings) are
-  /// overridden from max_plans; Bucket runs with require_equivalent so
-  /// every candidate plan answers the query exactly.
+  /// Options (oracle, budgets, LMSS knobs) handed to the LMSS search;
+  /// lmss.max_rewritings is overridden with the planner's cap of 64 plans.
   EngineOptions engine;
-  /// Cap on the number of equivalent rewritings enumerated and costed.
-  int max_plans = 64;
   /// Also consider answering directly over base relations (the "no views"
   /// plan). Requires base stats to be meaningful.
   bool include_direct_plan = true;
@@ -104,27 +97,26 @@ struct PlannerOptions {
 
 /// Outcome of plan selection.
 struct PlannerResult {
-  /// Every plan considered, in enumeration order (engines in registry
-  /// order, deduplicated across engines). Non-empty iff some plan exists
-  /// (the direct plan counts when enabled).
+  /// Every plan considered: LMSS's rewritings in enumeration order, then
+  /// the direct plan when enabled. Non-empty iff some plan exists.
   std::vector<PlanChoice> plans;
   /// Index of the cheapest plan in `plans`, or -1 when none.
   int best = -1;
-  /// Aggregate search counters of every engine consulted.
+  /// The LMSS search's counters (zeros when it failed).
   RewriteStats stats;
 };
 
-/// \brief The view-selection optimization loop in one call: enumerate
-/// equivalent rewritings of `q` over `views` from every engine in
-/// `options.engines`, cost each against the view-extent statistics,
-/// optionally cost the direct plan against base statistics, and pick the
-/// cheapest. The chosen rewriting evaluates over the extents database
-/// (merged with base stats for partial rewritings); the direct plan
-/// evaluates over the base database.
+/// \brief The view-selection optimization loop in one call: enumerate up
+/// to 64 equivalent rewritings of `q` over `views` with LMSS, cost each
+/// against the view-extent statistics, optionally cost the direct plan
+/// (LMSS's minimized query, or `q` when LMSS failed) against base
+/// statistics, and pick the cheapest. The chosen rewriting evaluates over
+/// the extents database (merged with base stats for partial rewritings);
+/// the direct plan evaluates over the base database.
 ///
-/// Engines that fail with a budget/size error (kResourceExhausted,
-/// kUnimplemented) are skipped — the planner degrades to the engines that
-/// finished; kInvalidArgument and internal errors propagate.
+/// When LMSS fails with a budget/size error (kResourceExhausted,
+/// kUnimplemented) only the direct plan is left; kInvalidArgument and
+/// internal errors propagate.
 [[nodiscard]] Result<PlannerResult> ChooseBestPlan(const Query& q, const ViewSet& views,
                                      const ExtentStats& view_stats,
                                      const ExtentStats& base_stats,

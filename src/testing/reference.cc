@@ -315,4 +315,31 @@ Result<Relation> BruteForceCertainAnswers(const Query& q, const ViewSet& views,
   return out;
 }
 
+FrozenQuery FreezeQuery(const Query& q, Catalog* catalog) {
+  FrozenQuery out;
+  out.var_to_const.resize(q.num_vars());
+  for (VarId v = 0; v < q.num_vars(); ++v) {
+    out.var_to_const[v] = catalog->FreshConstant("frz_" + q.var_name(v) + "_");
+  }
+  auto freeze_term = [&](Term t) -> Term {
+    if (t.is_const()) return t;
+    return Term::Const(out.var_to_const[t.var()]);
+  };
+  Query frozen(catalog);
+  Atom head = q.head();
+  for (Term& t : head.args) t = freeze_term(t);
+  frozen.set_head(std::move(head));
+  for (const Atom& a : q.body()) {
+    Atom fa = a;
+    for (Term& t : fa.args) t = freeze_term(t);
+    frozen.AddBodyAtom(std::move(fa));
+  }
+  for (const Comparison& c : q.comparisons()) {
+    frozen.AddComparison(
+        Comparison(c.op, freeze_term(c.lhs), freeze_term(c.rhs)));
+  }
+  out.frozen = std::move(frozen);
+  return out;
+}
+
 }  // namespace aqv

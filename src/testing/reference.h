@@ -18,6 +18,9 @@
 ///   - BruteForceCertainAnswers: certain answers by intersecting q over
 ///     every possible world of a finite universe. Exponential; it
 ///     cross-checks the chase on tiny instances.
+///   - FreezeQuery: the canonical database of Chandra & Merlin, against
+///     which test_properties checks the containment core
+///     (Q1 ⊑ Q2 iff head(Q1) frozen ∈ Q2(canonical_db(Q1))).
 
 #ifndef AQV_TESTING_REFERENCE_H_
 #define AQV_TESTING_REFERENCE_H_
@@ -25,6 +28,7 @@
 #include <set>
 #include <vector>
 
+#include "cq/catalog.h"
 #include "cq/query.h"
 #include "eval/database.h"
 #include "eval/evaluator.h"
@@ -76,6 +80,19 @@ struct WorldEnumOptions {
 [[nodiscard]] Result<Relation> BruteForceCertainAnswers(
     const Query& q, const ViewSet& views, const Database& view_extents,
     const WorldEnumOptions& options = {});
+
+/// \brief Result of freezing a query: the query with every variable
+/// replaced by a distinct fresh constant — the classic canonical database
+/// of Chandra & Merlin, reified as a (variable-free) query.
+struct FrozenQuery {
+  /// Variable-free copy of the source query.
+  Query frozen;
+  /// var_to_const[v] is the constant that replaced source variable v.
+  std::vector<ConstId> var_to_const;
+};
+
+/// Freezes `q` by interning one fresh constant per variable in `catalog`.
+FrozenQuery FreezeQuery(const Query& q, Catalog* catalog);
 
 }  // namespace aqv
 

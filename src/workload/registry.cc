@@ -31,14 +31,4 @@ Result<Scenario> MakeScenarioByName(std::string_view name, uint64_t seed,
   return Status::NotFound("no scenario named '" + std::string(name) + "'");
 }
 
-Result<RewriteResponse> RewriteScenarioWithEngine(
-    const Scenario& scenario, std::string_view engine_name,
-    const EngineOptions& options) {
-  RewriteRequest request;
-  request.query.disjuncts.push_back(scenario.query);
-  request.views = &scenario.views;
-  request.options = options;
-  return RunEngine(engine_name, request);
-}
-
 }  // namespace aqv

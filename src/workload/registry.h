@@ -1,9 +1,7 @@
 /// \file
-/// Scenario registry and the workload→engine hook: every packaged LAV
-/// scenario (scenarios.h) is constructible by name, and any scenario can
-/// drive any rewriting strategy by engine name through the unified
-/// RewritingEngine layer (rewriting/engine.h). Tests and tools iterate
-/// ScenarioNames() × EngineNames() instead of hard-wiring (scenario,
+/// Scenario registry: every packaged LAV scenario (scenarios.h) is
+/// constructible by name, so tests and tools iterate ScenarioNames() ×
+/// EngineNames() (rewriting/engine.h) instead of hard-wiring (scenario,
 /// algorithm) pairs.
 
 #ifndef AQV_WORKLOAD_REGISTRY_H_
@@ -14,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "rewriting/engine.h"
 #include "util/status.h"
 #include "workload/scenarios.h"
 
@@ -30,14 +27,6 @@ const std::vector<std::string>& ScenarioNames();
 /// of ScenarioNames() so existing registry-iterating grids are unchanged.
 [[nodiscard]] Result<Scenario> MakeScenarioByName(std::string_view name, uint64_t seed,
                                     int db_size);
-
-/// \brief Runs one engine on one scenario: wraps the scenario's query and
-/// views into a RewriteRequest (singleton union; the ucq engine accepts it
-/// too) and dispatches through the engine registry. `options.oracle`, when
-/// set, is shared across calls.
-[[nodiscard]] Result<RewriteResponse> RewriteScenarioWithEngine(const Scenario& scenario,
-                                                  std::string_view engine_name,
-                                                  const EngineOptions& options);
 
 }  // namespace aqv
 

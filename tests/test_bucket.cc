@@ -111,17 +111,12 @@ TEST_F(BucketTest, JoinSurvivesWhenExposed) {
 
 TEST_F(BucketTest, ContainedButNotEquivalentKept) {
   // The view is narrower than the query; bucket keeps it as a contained
-  // rewriting (certain-answer semantics), but not under require_equivalent.
+  // rewriting (certain-answer semantics).
   Query q = Parse("q(X) :- e(X, Y).");
   ViewSet vs = Views("v(A, B) :- e(A, B), t(B).");
   BucketResult res = Run(q, vs);
   ASSERT_EQ(res.rewritings.size(), 1);
   CheckSound(q, vs, res.rewritings);
-
-  BucketOptions strict;
-  strict.require_equivalent = true;
-  BucketResult res2 = Run(q, vs, strict);
-  EXPECT_TRUE(res2.rewritings.empty());
 }
 
 TEST_F(BucketTest, MultipleViewsSameSubgoalMakeUnion) {
@@ -282,67 +277,48 @@ TEST_F(BucketTest, ViewComparisonKeepsPerCombinationVerification) {
       "u(A) :- e(A, B).");
   ExpectOutcome(q, vs, {}, "q(X, Z) :- v(X, Y), w(Y, Z).\n",
                 /*candidates=*/3, /*combinations=*/2, /*checks=*/3);
-  BucketOptions strict;
-  strict.require_equivalent = true;
-  ExpectOutcome(q, vs, strict, "", /*candidates=*/3, /*combinations=*/2,
-                /*checks=*/4);
 }
 
 TEST_F(BucketTest, NodeBudgetBindsTheDirectChecksAsBefore) {
-  // Default-spec problems under tiny containment budgets, both modes. Each
-  // outcome (the status, or the rewriting count and counters) is what
+  // Default-spec problems under tiny containment budgets. Each outcome
+  // (the status, or the rewriting count and counters) is what
   // BucketRewrite returned when these checks still ran through
   // IsContainedIn on a built expansion Query, so the span search must
-  // spend the budget exactly as that path did. At budget 5, seeds 16 and
-  // 30 complete when only contained rewritings are asked for and exhaust
-  // on the reverse check under require_equivalent.
+  // spend the budget exactly as that path did.
   struct Case {
     uint64_t seed;
     uint64_t budget;
-    bool require_equivalent;
     int rewritings;  // -1: kResourceExhausted
     uint64_t combinations;
     uint64_t checks;
   };
   const std::vector<Case> cases = {
-      {1, 5, false, 25, 350, 352},   {1, 5, true, 4, 350, 352},
-      {1, 8, false, 25, 350, 352},   {1, 8, true, 4, 350, 352},
-      {1, 20, false, 25, 350, 352},  {1, 20, true, 4, 350, 352},
-      {7, 5, false, -1, 0, 0},       {7, 5, true, -1, 0, 0},
-      {7, 8, false, 50, 234, 262},   {7, 8, true, 12, 234, 262},
-      {7, 20, false, 50, 234, 262},  {7, 20, true, 12, 234, 262},
-      {16, 5, false, 72, 147, 147},  {16, 5, true, -1, 0, 0},
-      {16, 8, false, 72, 147, 147},  {16, 8, true, 2, 147, 147},
-      {16, 20, false, 72, 147, 147}, {16, 20, true, 2, 147, 147},
-      {30, 5, false, 21, 80, 84},    {30, 5, true, -1, 0, 0},
-      {30, 8, false, 21, 80, 84},    {30, 8, true, 9, 80, 84},
-      {30, 20, false, 21, 80, 84},   {30, 20, true, 9, 80, 84},
+      {1, 5, 25, 350, 352},   {1, 8, 25, 350, 352},   {1, 20, 25, 350, 352},
+      {7, 5, -1, 0, 0},       {7, 8, 50, 234, 262},   {7, 20, 50, 234, 262},
+      {16, 5, 72, 147, 147},  {16, 8, 72, 147, 147},  {16, 20, 72, 147, 147},
+      {30, 5, 21, 80, 84},    {30, 8, 21, 80, 84},    {30, 20, 21, 80, 84},
   };
-  auto run = [](uint64_t seed, uint64_t budget, bool require_equivalent) {
+  auto run = [](uint64_t seed, uint64_t budget) {
     GeneratedScenarioSpec spec;
     spec.seed = seed;
     Scenario scenario = GenerateScenario(spec).value();
     BucketOptions opts;
-    opts.require_equivalent = require_equivalent;
     opts.containment.node_budget = budget;
     return BucketRewrite(scenario.query, scenario.views, opts);
   };
   for (uint64_t seed : {1, 7, 16, 30}) {
     for (uint64_t budget : {1, 3}) {
-      for (bool require_equivalent : {false, true}) {
-        Result<BucketResult> r = run(seed, budget, require_equivalent);
-        ASSERT_FALSE(r.ok()) << seed << " " << budget;
-        EXPECT_EQ(r.status().ToString(),
-                  "ResourceExhausted: homomorphism search exceeded node "
-                  "budget of " + std::to_string(budget));
-      }
+      Result<BucketResult> r = run(seed, budget);
+      ASSERT_FALSE(r.ok()) << seed << " " << budget;
+      EXPECT_EQ(r.status().ToString(),
+                "ResourceExhausted: homomorphism search exceeded node "
+                "budget of " + std::to_string(budget));
     }
   }
   for (const Case& c : cases) {
     std::string label = "seed " + std::to_string(c.seed) + " budget " +
-                        std::to_string(c.budget) +
-                        (c.require_equivalent ? " equivalent" : " contained");
-    Result<BucketResult> r = run(c.seed, c.budget, c.require_equivalent);
+                        std::to_string(c.budget);
+    Result<BucketResult> r = run(c.seed, c.budget);
     if (c.rewritings < 0) {
       ASSERT_FALSE(r.ok()) << label;
       EXPECT_EQ(r.status().ToString(),
@@ -461,9 +437,7 @@ Result<ReferenceOutcome> ReferenceLoop(
     AQV_ASSIGN_OR_RETURN(
         ExpansionCheck check,
         BuildAndVerify(q, views, picks, q.has_comparisons(),
-                       options.require_equivalent ? VerifyLevel::kEquivalent
-                                                  : VerifyLevel::kContained,
-                       options.containment));
+                       VerifyLevel::kContained, options.containment));
     if (!check.rewriting.has_value()) return false;
     ++out.checked;
     if (!check.passed) return false;
@@ -512,10 +486,8 @@ Result<ReferenceOutcome> ReferenceLoop(
 
 /// Runs BucketRewrite, replays its buckets through the reference loop, and
 /// returns the rewriting count (0 on a mismatch, which is also reported).
-int ExpectMatchesReference(const Scenario& scenario, bool require_equivalent,
-                           const std::string& label) {
+int ExpectMatchesReference(const Scenario& scenario, const std::string& label) {
   BucketOptions opts;
-  opts.require_equivalent = require_equivalent;
   Result<BucketResult> real = BucketRewrite(scenario.query, scenario.views, opts);
   EXPECT_TRUE(real.ok()) << label << ": " << real.status().ToString();
   if (!real.ok()) return 0;
@@ -536,12 +508,8 @@ TEST_F(BucketTest, MatchesBuildAndVerifyReferenceOnGeneratedProblems) {
     spec.seed = seed;
     Result<Scenario> scenario = GenerateScenario(spec);
     ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
-    for (bool require_equivalent : {false, true}) {
-      rewritings += ExpectMatchesReference(
-          *scenario, require_equivalent,
-          "default seed " + std::to_string(seed) +
-              (require_equivalent ? " equivalent" : " contained"));
-    }
+    rewritings += ExpectMatchesReference(
+        *scenario, "default seed " + std::to_string(seed));
   }
   // The rewrite_hard shape (4-atom queries), at half its view count.
   for (uint64_t seed = 1; seed <= 4; ++seed) {
@@ -553,8 +521,8 @@ TEST_F(BucketTest, MatchesBuildAndVerifyReferenceOnGeneratedProblems) {
     spec.guarantee_equivalent = seed % 2 == 0;
     Result<Scenario> scenario = GenerateScenario(spec);
     ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
-    rewritings += ExpectMatchesReference(*scenario, /*require_equivalent=*/false,
-                                         "hard seed " + std::to_string(seed));
+    rewritings +=
+        ExpectMatchesReference(*scenario, "hard seed " + std::to_string(seed));
   }
   EXPECT_GT(rewritings, 0);
 }

@@ -7,6 +7,7 @@
 #include "containment/oracle.h"
 #include "cq/parser.h"
 #include "rewriting/engine.h"
+#include "testing/rewrite_scenario.h"
 #include "util/rng.h"
 #include "views/expansion.h"
 #include "workload/generators.h"
@@ -95,8 +96,8 @@ TEST_F(EngineTest, LmssEngineFindsWitnessThatVerifies) {
   ViewSet vs = Views("v(A, B) :- e(A, B).");
   RewriteResponse resp = Run("lmss", Request(q, vs));
   ASSERT_TRUE(resp.equivalent_exists);
-  ASSERT_TRUE(resp.witness.has_value());
-  auto exp = ExpandRewriting(*resp.witness, vs);
+  ASSERT_FALSE(resp.rewritings.empty());
+  auto exp = ExpandRewriting(resp.rewritings.disjuncts.front(), vs);
   ASSERT_TRUE(exp.ok());
   ASSERT_TRUE(exp.value().satisfiable);
   auto equiv = AreEquivalent(exp.value().query, q);
@@ -180,8 +181,8 @@ TEST_F(EngineTest, CrossEngineAgreementOnRandomChainWorkloads) {
 
     RewriteResponse lmss = Run("lmss", request);
     if (lmss.equivalent_exists) {
-      ASSERT_TRUE(lmss.witness.has_value());
-      auto exp = ExpandRewriting(*lmss.witness, vs);
+      ASSERT_FALSE(lmss.rewritings.empty());
+      auto exp = ExpandRewriting(lmss.rewritings.disjuncts.front(), vs);
       ASSERT_TRUE(exp.ok());
       auto equiv = AreEquivalent(exp.value().query, q);
       ASSERT_TRUE(equiv.ok());

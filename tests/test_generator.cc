@@ -17,6 +17,7 @@
 #include "frontend/session.h"
 #include "gtest/gtest.h"
 #include "rewriting/engine.h"
+#include "testing/rewrite_scenario.h"
 #include "workload/generator.h"
 #include "workload/registry.h"
 

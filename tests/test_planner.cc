@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "containment/containment.h"
 #include "cq/parser.h"
 #include "eval/evaluator.h"
 #include "eval/materialize.h"
+#include "rewriting/pipeline.h"
 #include "rewriting/planner.h"
+#include "views/expansion.h"
+#include "workload/generator.h"
+#include "workload/registry.h"
 #include "workload/scenarios.h"
 
 namespace aqv {
@@ -153,7 +163,7 @@ TEST_F(PlannerTest, CostOrderingTracksActualEvalStats) {
   EXPECT_LT(EstimatePlanCost(chain, stats), EstimatePlanCost(cross, stats));
 }
 
-TEST_F(PlannerTest, PlansComeFromAllEnginesWithProvenance) {
+TEST_F(PlannerTest, PlansComeFromLmssOrDirectWithProvenance) {
   Query q = Parse("q(X, Z) :- e(X, Y), f(Y, Z).");
   ViewSet vs = Views(
       "ve(A, B) :- e(A, B).\n"
@@ -161,34 +171,40 @@ TEST_F(PlannerTest, PlansComeFromAllEnginesWithProvenance) {
       "vj(A, C) :- e(A, B), f(B, C).");
   PlannerResult res = ChooseBestPlan(q, vs, {}, {}).value();
   ASSERT_GE(res.plans.size(), 2u);
-  bool has_engine_plan = false;
+  bool has_lmss_plan = false;
   bool has_direct_plan = false;
   for (const PlanChoice& plan : res.plans) {
-    EXPECT_FALSE(plan.engine.empty());
     if (plan.engine == "direct") {
       has_direct_plan = true;
       EXPECT_FALSE(plan.complete);
     } else {
-      has_engine_plan = true;
+      EXPECT_EQ(plan.engine, "lmss");
+      has_lmss_plan = true;
     }
   }
-  EXPECT_TRUE(has_engine_plan);
+  EXPECT_TRUE(has_lmss_plan);
   EXPECT_TRUE(has_direct_plan);
+  EXPECT_EQ(res.plans.back().engine, "direct");
   EXPECT_GT(res.stats.num_candidates, 0u);
 }
 
-TEST_F(PlannerTest, EngineSubsetRestrictsPlanSources) {
-  Query q = Parse("q2(X, Z) :- g2(X, Y), h2(Y, Z).");
-  ViewSet vs = Views("vgh(A, C) :- g2(A, B), h2(B, C).");
+TEST_F(PlannerTest, LmssBudgetFailureLeavesOnlyTheDirectPlan) {
+  Query q = Parse("q(X, Z) :- e(X, Y), f(Y, Z).");
+  ViewSet vs = Views("ve(A, B) :- e(A, B).\nvf(B, C) :- f(B, C).");
   PlannerOptions opts;
-  opts.engines = {"minicon"};
-  opts.include_direct_plan = false;
+  opts.engine.lmss.max_subsets = 0;
+  RewriteRequest request;
+  request.query.disjuncts.push_back(q);
+  request.views = &vs;
+  request.options = opts.engine;
+  ASSERT_EQ(RunEngine("lmss", request).status().code(),
+            StatusCode::kResourceExhausted);
   PlannerResult res = ChooseBestPlan(q, vs, {}, {}, opts).value();
-  ASSERT_FALSE(res.plans.empty());
-  for (const PlanChoice& plan : res.plans) {
-    EXPECT_EQ(plan.engine, "minicon");
-    EXPECT_TRUE(plan.complete);
-  }
+  ASSERT_EQ(res.plans.size(), 1u);
+  EXPECT_EQ(res.plans[0].engine, "direct");
+  EXPECT_EQ(res.plans[0].rewriting.ToString(), q.ToString());
+  EXPECT_EQ(res.best, 0);
+  EXPECT_EQ(res.stats.num_candidates, 0u);
 }
 
 TEST_F(PlannerTest, ChoosesPreJoinedViewWhenCheaper) {
@@ -266,6 +282,279 @@ TEST_F(PlannerTest, EndToEndOnWarehouseScenario) {
                         ? EvaluateQuery(best.rewriting, extents).value()
                         : EvaluateQuery(best.rewriting, s.base).value();
   EXPECT_TRUE(Relation::SameSet(direct, chosen));
+}
+
+// --- all-engine reference -----------------------------------------------
+//
+// ChooseBestPlan consults lmss alone. The reference below is the planner's
+// former loop: lmss, then bucket, then minicon, each disjunct of the last
+// two kept only when its expansion is equivalent to q, deduplicated across
+// engines and capped at 64 plans, then the direct plan. Every minimal
+// equivalent rewriting is isomorphic to a subset of lmss's candidate pool,
+// so bucket and minicon can add only duplicates or non-minimal plans; the
+// planner must choose the reference's plan and list the reference's plans
+// without their bucket and minicon entries.
+
+/// The reference's cap on plans, as ChooseBestPlan's.
+constexpr int kReferenceMaxPlans = 64;
+
+bool IsSkippable(const Status& status) {
+  return status.code() == StatusCode::kResourceExhausted ||
+         status.code() == StatusCode::kUnimplemented;
+}
+
+Result<PlannerResult> AllEnginePlans(const Query& q, const ViewSet& views,
+                                     const ExtentStats& view_stats,
+                                     const ExtentStats& base_stats) {
+  ExtentStats merged = base_stats;
+  for (const auto& [pred, card] : view_stats.cardinality) {
+    merged.cardinality[pred] = card;
+  }
+  for (const auto& [pred, distinct] : view_stats.column_distinct) {
+    merged.column_distinct[pred] = distinct;
+  }
+  PlannerResult result;
+  QueryDeduper deduper;
+  Query minimized = q;
+  auto full = [&] {
+    return static_cast<int>(result.plans.size()) >= kReferenceMaxPlans;
+  };
+  for (const std::string name : {"lmss", "bucket", "minicon"}) {
+    if (full()) break;
+    RewriteRequest request;
+    request.query.disjuncts.push_back(q);
+    request.views = &views;
+    request.options.lmss.max_rewritings = kReferenceMaxPlans;
+    Result<RewriteResponse> run = RunEngine(name, request);
+    if (!run.ok()) {
+      if (IsSkippable(run.status())) continue;
+      return run.status();
+    }
+    // Of the three engines only lmss minimizes.
+    if (name == "lmss") minimized = run->minimized.disjuncts[0];
+    for (Query& rw : run->rewritings.disjuncts) {
+      if (full()) break;
+      if (name != "lmss") {
+        AQV_ASSIGN_OR_RETURN(ExpansionResult ex, ExpandRewriting(rw, views));
+        if (!ex.satisfiable) continue;
+        Result<bool> equivalent = AreEquivalent(q, ex.query);
+        if (!equivalent.ok()) {
+          if (IsSkippable(equivalent.status())) continue;
+          return equivalent.status();
+        }
+        if (!*equivalent) continue;
+      }
+      if (!deduper.Insert(rw)) continue;
+      PlanChoice plan;
+      plan.engine = name;
+      plan.complete = UsesOnlyViews(rw, views);
+      plan.estimated_cost = EstimatePlanCost(rw, merged);
+      plan.rewriting = std::move(rw);
+      result.plans.push_back(std::move(plan));
+    }
+  }
+  PlanChoice direct;
+  direct.rewriting = std::move(minimized);
+  direct.engine = "direct";
+  direct.estimated_cost = EstimatePlanCost(direct.rewriting, base_stats);
+  result.plans.push_back(std::move(direct));
+  for (int i = 0; i < static_cast<int>(result.plans.size()); ++i) {
+    if (result.best < 0 || result.plans[i].estimated_cost <
+                               result.plans[result.best].estimated_cost) {
+      result.best = i;
+    }
+  }
+  return result;
+}
+
+using PlanRow = std::tuple<std::string, bool, double, std::string>;
+
+PlanRow Row(const PlanChoice& plan) {
+  return {plan.engine, plan.complete, plan.estimated_cost,
+          plan.rewriting.ToString()};
+}
+
+/// What the comparison with the reference saw.
+struct ReferenceTally {
+  int problems = 0;
+  int lmss_chosen = 0;
+  int direct_chosen = 0;
+  /// Problems where lmss returned the planner's cap of 64 rewritings.
+  int lmss_capped = 0;
+  /// Labels of problems where the reference chose a bucket or minicon
+  /// plan; ChooseBestPlan cannot match those.
+  std::vector<std::string> other_chosen;
+};
+
+/// Holds ChooseBestPlan to AllEnginePlans on one problem, statistics
+/// measured as the answering pipeline measures them.
+void ExpectMatchesReference(const Query& q, const ViewSet& views,
+                            const Database& base, const std::string& label,
+                            ReferenceTally* tally) {
+  Result<Database> extents = MaterializeViews(views, base);
+  ASSERT_TRUE(extents.ok()) << label << ": " << extents.status().ToString();
+  ExtentStats view_stats = ExtentStats::FromDatabase(*extents);
+  ExtentStats base_stats = ExtentStats::FromDatabase(base);
+  Result<PlannerResult> got = ChooseBestPlan(q, views, view_stats, base_stats);
+  ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+  Result<PlannerResult> want =
+      AllEnginePlans(q, views, view_stats, base_stats);
+  ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
+  ASSERT_GE(got->best, 0) << label;
+  ASSERT_GE(want->best, 0) << label;
+
+  const PlanChoice& chosen = want->plans[want->best];
+  EXPECT_EQ(Row(got->plans[got->best]), Row(chosen)) << label;
+  std::vector<PlanRow> expected;
+  for (const PlanChoice& plan : want->plans) {
+    if (plan.engine == "lmss" || plan.engine == "direct") {
+      expected.push_back(Row(plan));
+    }
+  }
+  std::vector<PlanRow> actual;
+  for (const PlanChoice& plan : got->plans) actual.push_back(Row(plan));
+  EXPECT_EQ(actual, expected) << label;
+
+  ++tally->problems;
+  if (chosen.engine == "lmss") ++tally->lmss_chosen;
+  if (chosen.engine == "direct") ++tally->direct_chosen;
+  if (chosen.engine != "lmss" && chosen.engine != "direct") {
+    tally->other_chosen.push_back(label);
+  }
+  if (actual.size() == static_cast<size_t>(kReferenceMaxPlans) + 1) {
+    ++tally->lmss_capped;
+  }
+}
+
+void ExpectMatchesReference(const Scenario& scenario, const std::string& label,
+                            ReferenceTally* tally) {
+  ExpectMatchesReference(scenario.query, scenario.views, scenario.base, label,
+                         tally);
+}
+
+/// The generated shapes of the reference comparison.
+struct Shape {
+  std::string name;
+  GeneratedScenarioSpec spec;
+};
+
+std::vector<Shape> ReferenceShapes() {
+  GeneratedScenarioSpec answer_cold;
+  answer_cold.num_views = 60;
+  answer_cold.facts_per_predicate = 60;
+  answer_cold.domain_size = 100;
+  GeneratedScenarioSpec rewrite_hard;
+  rewrite_hard.query_atoms = 4;
+  rewrite_hard.num_views = 80;
+  rewrite_hard.facts_per_predicate = 5;
+  std::vector<Shape> shapes;
+  for (bool equivalent : {true, false}) {
+    const std::string suffix = equivalent ? "" : " without mirrors";
+    answer_cold.guarantee_equivalent = equivalent;
+    rewrite_hard.guarantee_equivalent = equivalent;
+    shapes.push_back({"answer_cold" + suffix, answer_cold});
+    shapes.push_back({"rewrite_hard" + suffix, rewrite_hard});
+  }
+  for (int atoms : {2, 5}) {
+    GeneratedScenarioSpec spec;
+    spec.query_atoms = atoms;
+    shapes.push_back({std::to_string(atoms) + "-atom", spec});
+  }
+  return shapes;
+}
+
+TEST(PlannerReferenceTest, MatchesAllEngineLoopOnGeneratedProblems) {
+  ReferenceTally tally;
+  const std::vector<Shape> shapes = ReferenceShapes();
+  for (const Shape& shape : shapes) {
+    for (uint64_t seed = 9001; seed <= 9050; ++seed) {
+      GeneratedScenarioSpec spec = shape.spec;
+      spec.seed = seed;
+      Result<Scenario> scenario = GenerateScenario(spec);
+      ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+      ExpectMatchesReference(*scenario,
+                             shape.name + " seed " + std::to_string(seed),
+                             &tally);
+    }
+  }
+  EXPECT_EQ(tally.problems, 300);
+  EXPECT_TRUE(tally.other_chosen.empty())
+      << tally.other_chosen.size() << " problems, the first "
+      << tally.other_chosen.front();
+  // Both kinds of choice occur, so the comparison is not vacuous.
+  EXPECT_GT(tally.lmss_chosen, 0);
+  EXPECT_GT(tally.direct_chosen, 0);
+}
+
+TEST(PlannerReferenceTest, MatchesAllEngineLoopWhereLmssStopsAtTheCap) {
+  // The seeds on which lmss returns 64 rewritings, its planner cap: the
+  // reference then takes no bucket or minicon plan at all.
+  ReferenceTally tally;
+  const std::vector<Shape> shapes = ReferenceShapes();
+  const Shape& rewrite_hard = shapes[1];
+  const Shape& five_atoms = shapes[5];
+  const std::vector<std::pair<const Shape*, uint64_t>> capped = {
+      {&rewrite_hard, 9003}, {&rewrite_hard, 9020}, {&rewrite_hard, 9106},
+      {&five_atoms, 9003},   {&five_atoms, 9020},   {&five_atoms, 9025},
+      {&five_atoms, 9124},
+  };
+  for (const auto& [shape, seed] : capped) {
+    GeneratedScenarioSpec spec = shape->spec;
+    spec.seed = seed;
+    Result<Scenario> scenario = GenerateScenario(spec);
+    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+    ExpectMatchesReference(*scenario,
+                           shape->name + " seed " + std::to_string(seed),
+                           &tally);
+  }
+  EXPECT_EQ(tally.lmss_capped, static_cast<int>(capped.size()));
+  EXPECT_TRUE(tally.other_chosen.empty());
+}
+
+TEST(PlannerReferenceTest, MatchesAllEngineLoopOnHandWrittenProblems) {
+  // The hand-written problems of this suite and of test_answering, over
+  // small databases (the last one has comparisons), then the packaged
+  // scenarios.
+  struct Problem {
+    std::string query;
+    std::string views;
+  };
+  const std::vector<Problem> problems = {
+      {"q(X, Z) :- e(X, Y), f(Y, Z).",
+       "ve(A, B) :- e(A, B).\nvf(B, C) :- f(B, C).\n"
+       "vj(A, C) :- e(A, B), f(B, C)."},
+      {"q(X, Z) :- e(X, Y), f(Y, Z).", "ve(A, B) :- e(A, B)."},
+      {"q(X) :- g(X, Y), h(Y).", "vg(A) :- g(A, B)."},
+      {"q(X, Z) :- a(X, Y), b(Y, Z).", "vab(X, Z) :- a(X, Y), b(Y, Z)."},
+      {"q(X) :- r(X, Y).", "v(A, B) :- r(A, B)."},
+      {"q(X) :- e(X, Y).",
+       "v1(A, B) :- e(A, B), t(B).\nv2(A, B) :- e(A, B), u(B)."},
+      {"q(X, Z) :- r(X, Y), s(Y, Z), X < Z.",
+       "vlow(A, C) :- r(A, B), s(B, C), A < C, A < 5.\n"
+       "vr(A, B) :- r(A, B).\nvs(B, C) :- s(B, C)."},
+  };
+  ReferenceTally tally;
+  for (const Problem& problem : problems) {
+    Catalog cat;
+    Query q = ParseQuery(problem.query, &cat).value();
+    ViewSet views = ViewSet::Parse(problem.views, &cat).value();
+    // Every base predicate gets the same rows: a chain and a self loop.
+    Database base(&cat);
+    for (PredId p = 0; p < cat.num_predicates(); ++p) {
+      if (views.FindByPred(p) != nullptr || p == q.head().pred) continue;
+      for (int64_t v = 1; v <= 6; ++v) {
+        if (cat.pred(p).arity == 1) base.Add(p, {v});
+        if (cat.pred(p).arity == 2) base.Add(p, {v, v % 6 + 1});
+      }
+      if (cat.pred(p).arity == 2) base.Add(p, {3, 3});
+    }
+    ExpectMatchesReference(q, views, base, problem.query, &tally);
+  }
+  for (const std::string& name : ScenarioNames()) {
+    Scenario s = MakeScenarioByName(name, /*seed=*/5, /*db_size=*/200).value();
+    ExpectMatchesReference(s, name, &tally);
+  }
+  EXPECT_TRUE(tally.other_chosen.empty());
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include "containment/containment.h"
 #include "containment/minimize.h"
-#include "cq/canonical_db.h"
 #include "cq/parser.h"
 #include "eval/certain.h"
 #include "eval/evaluator.h"
@@ -12,6 +11,7 @@
 #include "rewriting/inverse_rules.h"
 #include "rewriting/lmss.h"
 #include "rewriting/minicon.h"
+#include "testing/reference.h"
 #include "util/rng.h"
 #include "views/expansion.h"
 #include "workload/datagen.h"

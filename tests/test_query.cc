@@ -1,9 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "cq/canonical_db.h"
 #include "cq/parser.h"
 #include "cq/query.h"
 #include "cq/substitution.h"
+#include "testing/reference.h"
 
 namespace aqv {
 namespace {

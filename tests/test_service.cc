@@ -96,8 +96,7 @@ std::string Payload(const Result<RewriteResponse>& r) {
   std::string s = resp.engine + "|";
   s += resp.equivalent_exists ? "eq|" : "noeq|";
   s += resp.rewritings.ToString() + "|";
-  s += resp.witness.has_value() ? resp.witness->ToString() : "<none>";
-  s += "|" + resp.minimized.ToString();
+  s += resp.minimized.ToString();
   s += "|cand:" + std::to_string(resp.stats.num_candidates);
   s += "|comb:" + std::to_string(resp.stats.combinations);
   s += "|checks:" + std::to_string(resp.stats.checks);

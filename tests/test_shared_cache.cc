@@ -207,24 +207,25 @@ TEST(SharedCacheTest, RepeatedScriptsHitThePlanCacheAcrossConnections) {
 
 TEST(SharedCacheTest, EngineOptionsSeparateCachedPlans) {
   // Two kinds of session share one plan cache and differ in one engine
-  // option that changes bucket's payload. Neither may be answered from a
+  // option that changes lmss's payload. Neither may be answered from a
   // plan the other cached.
   const std::vector<std::string> problem = {
       "view v1(A, B) :- e(A, B).",
-      "view v2(A) :- e(A, B), t(B).",  // contained in q, not equivalent
+      "view v2(A, B) :- e(A, B).",  // a second equivalent rewriting
       "query q(X) :- e(X, Y).",
   };
   RewritePlanCache cache;
-  SessionOptions contained_options;
-  contained_options.plan_cache = &cache;
-  SessionOptions equivalent_options = contained_options;
-  equivalent_options.engine.bucket.require_equivalent = true;
+  SessionOptions first_options;
+  first_options.plan_cache = &cache;
+  first_options.engine.lmss.max_rewritings = 1;
+  SessionOptions all_options = first_options;
+  all_options.engine.lmss.max_rewritings = 2;
   auto rewrite = [&](const SessionOptions& options) {
     Session session(options);
     for (const std::string& line : problem) {
       EXPECT_TRUE(session.Execute(line).ok()) << line;
     }
-    CommandResult result = session.Execute("rewrite with bucket");
+    CommandResult result = session.Execute("rewrite with lmss");
     EXPECT_TRUE(result.ok()) << result.status.ToString();
     return result.output;
   };
@@ -232,17 +233,17 @@ TEST(SharedCacheTest, EngineOptionsSeparateCachedPlans) {
     options.plan_cache = nullptr;
     return rewrite(options);
   };
-  const std::string contained = uncached(contained_options);
-  const std::string equivalent = uncached(equivalent_options);
-  ASSERT_NE(contained, equivalent) << "the option must change the payload";
+  const std::string first = uncached(first_options);
+  const std::string all = uncached(all_options);
+  ASSERT_NE(first, all) << "the option must change the payload";
 
-  EXPECT_EQ(rewrite(contained_options), contained);
-  EXPECT_EQ(rewrite(equivalent_options), equivalent);
+  EXPECT_EQ(rewrite(first_options), first);
+  EXPECT_EQ(rewrite(all_options), all);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().inserts, 2u);
   // Each options set is then answered from its own plan.
-  EXPECT_EQ(rewrite(equivalent_options), equivalent);
-  EXPECT_EQ(rewrite(contained_options), contained);
+  EXPECT_EQ(rewrite(all_options), all);
+  EXPECT_EQ(rewrite(first_options), first);
   EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(cache.size(), 2u);
 }
